@@ -11,7 +11,7 @@ Structured output: --format json emits one JSON record per line with stable,
 sorted field names; the same values appear in the default table output.
 Wall-clock time is printed to stderr only, so records are byte-reproducible
 per seed.  The seed comes from --seed, else the HAMPERM_SEED environment
-variable, else 0.
+variable, else 0; a HAMPERM_SEED that is not an integer is a usage error.
 
 Exit codes: 0 success/circuit, 2 no circuit (timeout or proven infeasible),
 1 usage or input error.
@@ -68,14 +68,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def _default_seed() -> int:
+def _default_seed(parser: _Parser) -> int:
     env = os.environ.get("HAMPERM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        parser.error(f"HAMPERM_SEED must be an integer, got {env!r}")
 
 
 def _emit(rec: RunRecord, fmt: str) -> None:
@@ -289,7 +289,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--format", choices=["table", "json"], default="table")
 
     g = sub.add_parser("gen", help="generate a random graph/digraph")
@@ -337,6 +337,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed(parser)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

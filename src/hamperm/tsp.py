@@ -8,6 +8,15 @@ moves composed with up to one (3-cycle) or two (POTDT) follow-up rotations,
 committing a composite only when its net weight strictly improves; the
 best tour seen is kept in a BestQueue.
 
+Every gain is computed from the arcs a step changes, never by re-summing
+the tour.  A candidate costs O(1) for its move's delta plus the scan for its
+follow-up rotation(s) (O(n) per scanned vertex at worst, usually far less),
+done on the tour's successor/predecessor arrays with the moved arcs
+overridden (a POTDT's second rotation is scanned on arrays rebuilt after
+its first, in O(n)); a tour is built (copy, apply, rotate) only for the
+candidate that is committed.  The running weight is updated by each accepted delta
+and checked against tour_weight once, at the end of tsp_solve.
+
 Weights are exact (int or Fraction) so the strict comparisons never suffer
 floating-point noise.  File format: line 1 "w n", then n rows of n numbers;
 symmetry and a zero diagonal are validated on read.
@@ -24,6 +33,8 @@ from .graphs import ParseError, complete_graph
 from .tour import InadmissibleMove, Move, Tour
 
 Weight = Union[int, Fraction]
+# A weight table indexed by vertex labels: w[u][v] is the weight of u-v.
+_Table = Union[list[list[Weight]], dict[int, list[Weight]]]
 
 
 class WeightMatrix:
@@ -118,21 +129,42 @@ def tour_weight(wm: WeightMatrix, t: Union[Tour, Sequence[int]]) -> Weight:
     return sum(wm.w(seq[i], seq[(i + 1) % wm.n]) for i in range(wm.n))
 
 
+def _rotation_delta(w: _Table, x: int, hx: int, y: int, hy: int) -> Weight:
+    """Weight change of the rotation that replaces arcs x-hx and y-hy by
+    x-y and hx-hy.  Negative exactly when the rotation is good."""
+    return (w[x][y] + w[hx][hy]) - (w[x][hx] + w[y][hy])
+
+
+def _move_delta(w: _Table, ov: dict[int, int], succ) -> Weight:
+    """Weight change of a move: the arcs v-ov[v] it creates minus the arcs
+    v-succ[v] they replace.  Negative exactly when the move set is good."""
+    new = old = 0
+    for v, h in ov.items():
+        new += w[v][h]
+        old += w[v][succ[v]]
+    return new - old
+
+
+def _rows_of(wm: WeightMatrix, verts) -> _Table:
+    """The rows of `verts` as a table indexed by vertex labels."""
+    return {v: [0, *wm.rows[v - 1]] for v in verts}
+
+
 def is_good_rotation(wm: WeightMatrix, t: Tour, x: int, y: int) -> bool:
     """Strict 2-opt gain: w[x,y] + w[H(x),H(y)] < w[x,H(x)] + w[y,H(y)]."""
     if y in (x, t.succ(x), t.pred(x)):
         raise ValueError(f"{x} and {y} are adjacent on the tour")
     hx, hy = t.succ(x), t.succ(y)
-    return wm.w(x, y) + wm.w(hx, hy) < wm.w(x, hx) + wm.w(y, hy)
+    return _rotation_delta(_rows_of(wm, (x, hx, y)), x, hx, y, hy) < 0
 
 
 def is_good_set(wm: WeightMatrix, t: Tour, m: Move) -> bool:
     """Created arcs strictly outweighed by the arcs they replace."""
     if not t.admissible(m):
         raise InadmissibleMove(f"{m} is not admissible on the tour")
-    new_sum = sum(wm.w(u, v) for u, v in t.new_arcs(m))
-    old_sum = sum(wm.w(u, v) for u, v in t.replaced_arcs(m))
-    return new_sum < old_sum
+    ov = t.overlay(m)
+    succ = {v: t.succ(v) for v in ov}
+    return _move_delta(_rows_of(wm, ov), ov, succ) < 0
 
 
 # --------------------------------------------------------------------------
@@ -140,67 +172,155 @@ def is_good_set(wm: WeightMatrix, t: Tour, m: Move) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _rotation_sweep(wm: WeightMatrix, t: Tour, trace: list) -> None:
-    """Apply good rotations until none exists (a full 2-opt pass)."""
-    n = wm.n
+def _links(t: Tour) -> tuple[list[int], list[int]]:
+    """Successor and predecessor arrays of t, indexed by vertex."""
+    order = t.order
+    succ = [0] * (len(order) + 1)
+    pred = [0] * (len(order) + 1)
+    prev = order[-1]
+    for v in order:
+        succ[prev] = v
+        pred[v] = prev
+        prev = v
+    return succ, pred
+
+
+def _first_good_rotation(
+    w: _Table, succ: list[int], pred: list[int], xs
+) -> Optional[tuple[int, int, Weight]]:
+    """(x, y, delta) of the first good rotation with x in xs (in xs's
+    order) and y in 1..n, or None."""
+    verts = range(1, len(succ))
+    for x in xs:
+        hx, px = succ[x], pred[x]
+        for y in verts:
+            if y == x or y == hx or y == px:
+                continue
+            d = _rotation_delta(w, x, hx, y, succ[y])
+            if d < 0:
+                return x, y, d
+    return None
+
+
+def _rotated_links(
+    succ: list[int], pred: list[int], x: int, y: int
+) -> tuple[list[int], list[int]]:
+    """New arrays for the tour after rotation (x, y), which reverses the
+    segment succ(x)..y so the tour reads x, y, ..., succ(x), succ(y)."""
+    s2, p2 = succ[:], pred[:]
+    hx, hy = succ[x], succ[y]
+    v = hx
+    while True:
+        s2[v], p2[v] = pred[v], succ[v]
+        if v == y:
+            break
+        v = succ[v]
+    s2[x], p2[y] = y, x
+    s2[hx], p2[hy] = hy, hx
+    return s2, p2
+
+
+def _score(
+    w: _Table,
+    succ: list[int],
+    pred: list[int],
+    ov: dict[int, int],
+    xs,
+    rotations: int,
+) -> tuple[Weight, list[tuple[int, int]]]:
+    """Net weight change of a move (given by its overlay ov) followed by up
+    to `rotations` first good rotations from xs, and those rotations.
+
+    succ and pred describe the current tour; they are rewired to the
+    post-move tour for the scan and restored before returning.
+    """
+    delta = _move_delta(w, ov, succ)
+    old = [(v, succ[v]) for v in ov]
+    for v, h in ov.items():
+        succ[v], pred[h] = h, v
+    rots = []
+    s, p = succ, pred
+    for k in range(rotations):
+        got = _first_good_rotation(w, s, p, xs)
+        if got is None:
+            break
+        x, y, d = got
+        delta += d
+        rots.append((x, y))
+        if k + 1 < rotations:
+            s, p = _rotated_links(s, p, x, y)
+    for v, h in old:
+        succ[v], pred[h] = h, v
+    return delta, rots
+
+
+def _rotation_sweep(w: _Table, t: Tour, weight: Weight, trace: list) -> Weight:
+    """Apply good rotations until none exists (a full 2-opt pass); returns
+    the new weight."""
+    verts = range(1, t.n + 1)
+    succ, pred = _links(t)
     improved = True
     while improved:
         improved = False
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
-                if y in (x, t.succ(x), t.pred(x)):
+        for x in verts:
+            for y in verts:
+                hx = succ[x]
+                if y == x or y == hx or y == pred[x]:
                     continue
-                if is_good_rotation(wm, t, x, y):
+                d = _rotation_delta(w, x, hx, y, succ[y])
+                if d < 0:
                     t.rotate(x, y)
-                    trace.append(("rotation", (x, y), tour_weight(wm, t)))
+                    succ, pred = _links(t)
+                    weight += d
+                    trace.append(("rotation", (x, y), weight))
                     improved = True
+    return weight
 
 
 def _good_composite(
-    wm: WeightMatrix,
+    w: _Table,
     t: Tour,
     rng: random.Random,
     potdt_samples: int,
-) -> Optional[Tour]:
+) -> Optional[tuple[Tour, Weight]]:
     """One strictly improving composite: an admissible move followed by up
-    to one (3-cycle) or two (POTDT) good rotations, committed atomically."""
-    n = wm.n
-    base = tour_weight(wm, t)
+    to one (3-cycle) or two (POTDT) good rotations, committed atomically.
+    Returns the new tour and its weight change."""
+    n = t.n
+    verts = range(1, n + 1)
+    succ, pred = _links(t)
+    pos = t.pos
 
-    def attempt(m: Move, extra_rotations: int) -> Optional[Tour]:
-        t2 = t.copy()
-        t2.apply(m)
-        for _ in range(extra_rotations):
-            gain = None
-            for x in set(m.verts):
-                for y in range(1, n + 1):
-                    if y in (x, t2.succ(x), t2.pred(x)):
-                        continue
-                    if is_good_rotation(wm, t2, x, y):
-                        gain = (x, y)
-                        break
-                if gain:
-                    break
-            if not gain:
-                break
-            t2.rotate(*gain)
-        return t2 if tour_weight(wm, t2) < base else None
+    def commit(m: Move, rots: list[tuple[int, int]]) -> Tour:
+        t2 = t.copy().apply(m)
+        for x, y in rots:
+            t2.rotate(x, y)
+        return t2
 
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                if len({a, b, c}) < 3 or not t.clockwise(a, b, c):
+    for a in verts:
+        pa = pos[a]
+        # rel[v]: clockwise distance from a to v; (a b c) is admissible
+        # iff 0 < rel[b] < rel[c]
+        rel = {v: (i - pa) % n for v, i in pos.items()}
+        for b in verts:
+            if b == a:
+                continue
+            rb = rel[b]
+            for c in verts:
+                if rel[c] <= rb:
                     continue
-                got = attempt(Move.cycle3(a, b, c), 1)
-                if got is not None:
-                    return got
+                ov = {a: succ[b], b: succ[c], c: succ[a]}
+                delta, rots = _score(w, succ, pred, ov, {a, b, c}, 1)
+                if delta < 0:
+                    return commit(Move.cycle3(a, b, c), rots), delta
     for _ in range(potdt_samples):
-        a, c, b, d = rng.sample(range(1, n + 1), 4)
+        a, c, b, d = rng.sample(verts, 4)
         if not t.interlace(a, c, b, d):
             continue
-        got = attempt(Move.potdt(a, c, b, d), 2)
-        if got is not None:
-            return got
+        ov = {a: succ[c], c: succ[a], b: succ[d], d: succ[b]}
+        delta, rots = _score(w, succ, pred, ov, {a, c, b, d}, 2)
+        if delta < 0:
+            return commit(Move.potdt(a, c, b, d), rots), delta
     return None
 
 
@@ -211,28 +331,45 @@ def tsp_solve(
 
     The returned weight equals tour_weight of the returned tour and never
     exceeds the starting weight; every accepted step strictly decreases it.
+    budget caps the number of composite steps (default 20 n); it must be
+    nonnegative.  Weights must be int or Fraction.
     """
     n = wm.n
     if n < 4:
         raise ValueError("tsp_solve requires n >= 4")
     if budget is None:
         budget = 20 * n
+    elif budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    # the running weight is only exact, and so only equal to a fresh
+    # tour_weight, for exact weights
+    if not all(isinstance(x, (int, Fraction)) for row in wm.rows for x in row):
+        raise ValueError("tsp_solve requires int or Fraction weights")
+    # weights indexed by vertex labels: row and column 0 are padding
+    w = [[0] * (n + 1)] + [[0, *row] for row in wm.rows]
     rng = random.Random(seed)
     host = complete_graph(n)
     verts = list(range(1, n + 1))
     rng.shuffle(verts)
     t = Tour(host, verts)
-    trace: list = [("start", None, tour_weight(wm, t))]
+    weight = tour_weight(wm, t)
+    trace: list = [("start", None, weight)]
     best = BestQueue()
-    best.offer(t.sequence_from(1), tour_weight(wm, t))
-    _rotation_sweep(wm, t, trace)
-    best.offer(t.sequence_from(1), tour_weight(wm, t))
+    best.offer(t.sequence_from(1), weight)
+    weight = _rotation_sweep(w, t, weight, trace)
+    best.offer(t.sequence_from(1), weight)
     for _ in range(budget):
-        nxt = _good_composite(wm, t, rng, potdt_samples=4 * n * n)
-        if nxt is None:
+        got = _good_composite(w, t, rng, potdt_samples=4 * n * n)
+        if got is None:
             break
-        t = nxt
-        trace.append(("composite", None, tour_weight(wm, t)))
-        _rotation_sweep(wm, t, trace)
-        best.offer(t.sequence_from(1), tour_weight(wm, t))
-    return best.tour, best.weight, trace
+        t, delta = got
+        weight += delta
+        trace.append(("composite", None, weight))
+        weight = _rotation_sweep(w, t, weight, trace)
+        best.offer(t.sequence_from(1), weight)
+    # Every accepted step is the last one offered, so the best tour is t.
+    # Return its weight as tour_weight sums it: an int whenever every arc
+    # weight on the tour is an int, as the running sum need not be.
+    final = tour_weight(wm, t)
+    assert final == weight == best.weight, "running weight drifted"
+    return best.tour, final, trace

@@ -174,6 +174,29 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_seed_env_invalid_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.txt"
+    run(capsys, ["gen", "--model", "boll", "--n", "30", "--seed", "2",
+                 "--out", str(path)])
+    monkeypatch.setenv("HAMPERM_SEED", "abc")
+    code, stdout, err = run(capsys, ["solve", str(path), "--format", "json"])
+    assert code == 1 and stdout == ""
+    assert "HAMPERM_SEED" in err
+    # an explicit --seed does not consult the environment
+    assert run(capsys, ["solve", str(path), "--seed", "9"])[0] == 0
+
+
+def test_tsp_negative_budget_exits_1(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    write_weights(
+        WeightMatrix([[0, 1, 2, 5], [1, 0, 5, 2], [2, 5, 0, 1], [5, 2, 1, 0]]),
+        str(path),
+    )
+    code, stdout, err = run(capsys, ["tsp", str(path), "--budget", "-1"])
+    assert code == 1 and stdout == ""
+    assert "budget" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["frobnicate"])[0] == 1
     assert run(capsys, ["gen", "--model", "nope", "--n", "5", "--out", "x"])[0] == 1

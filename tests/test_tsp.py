@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import tsp_reference
 from hamperm.graphs import ParseError, complete_graph
 from hamperm.tour import InadmissibleMove, Move, Tour
 from hamperm.tsp import (
@@ -202,3 +203,56 @@ def test_tsp_exact_fraction_weights():
 def test_tsp_requires_four_cities():
     with pytest.raises(ValueError):
         tsp_solve(WeightMatrix([[0, 1], [1, 0]]), seed=0)
+
+
+def test_tsp_negative_budget_rejected():
+    wm = WeightMatrix(FOUR_CITY)
+    with pytest.raises(ValueError):
+        tsp_solve(wm, seed=0, budget=-1)
+
+
+def test_tsp_rejects_inexact_weights():
+    rows = [[float(x) for x in row] for row in FOUR_CITY]
+    with pytest.raises(ValueError):
+        tsp_solve(WeightMatrix(rows), seed=0)
+
+
+def _reference_cases():
+    """(name, matrix) pairs covering integer weights at n = 4..24, Fraction
+    weights, many tied weights, and integer/Fraction mixes."""
+    rng = random.Random(2024)
+    cases = [(f"int-n{n}", random_matrix(rng, n)) for n in range(4, 25)]
+    for n in range(5, 13):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+                rows[i][j] = rows[j][i] = w
+        cases.append((f"fraction-n{n}", WeightMatrix(rows)))
+    for n in range(6, 22, 2):
+        cases.append((f"ties-n{n}", random_matrix(rng, n, lo=1, hi=3)))
+    for n in (7, 10, 13, 16):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = rng.randint(1, 9)
+                if rng.random() < 0.3:
+                    w = Fraction(2 * w + 1, 2)
+                rows[i][j] = rows[j][i] = w
+        cases.append((f"mixed-n{n}", WeightMatrix(rows)))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize(
+    "wm", [wm for _, wm in REFERENCE_CASES], ids=[k for k, _ in REFERENCE_CASES]
+)
+def test_tsp_matches_reference(wm):
+    for seed, budget in ((11, None), (12, 0), (13, 3)):
+        got = tsp_solve(wm, seed, budget)
+        want = tsp_reference.tsp_solve(wm, seed, budget)
+        assert got == want
+        # the reported weight has the reference's type too (int vs Fraction)
+        assert type(got[1]) is type(want[1])
