@@ -12,6 +12,15 @@ Random models:
                           vertex, merged.
     * to_undirected     - forget orientation.
 
+Generation takes O(m) expected time and memory, never O(n^2).  The Boll
+models draw uniform pairs and reject repeats: the prefix of a uniform
+permutation is a sample without replacement, so this is exactly the
+shuffled-prefix distribution, drawn with fewer random numbers (O(m) while
+the stopped prefix is a small fraction of all pairs, as it is at the
+default thresholds).  gen_m_out and gen_in_out sample target indices
+instead of building a candidate list per vertex; their output is the same
+as that of the list-based draws.
+
 File format (see read_graph/write_graph):
     line 1: "g n m" (undirected) or "d n m" (directed)
     then m lines "u v", 1-based; lines starting with "#" are comments.
@@ -177,66 +186,63 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
 
 
-def _all_edges(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+def _random_pair(rng: random.Random, n: int) -> tuple[int, int]:
+    """A uniform ordered pair (u, v) of distinct vertices of 1..n."""
+    u = rng.randrange(1, n + 1)
+    v = rng.randrange(1, n)
+    return u, v if v < u else v + 1
 
 
-def _all_arcs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+def _other(v: int, j: int) -> int:
+    """The j-th (0-based) vertex of 1..n other than v."""
+    return j + 1 if j + 1 < v else j + 2
 
 
 def gen_boll_graph(n: int, seed: int) -> tuple[Graph, int]:
     """Random-permutation prefix of K_n's edges, stopped at min degree >= 2.
 
+    The permutation is drawn edge by edge: uniform pairs, repeats rejected.
     Returns the graph and the stopping index m'' (number of edges kept).
     """
     if n < 3:
         raise ValueError("gen_boll_graph requires n >= 3")
     rng = random.Random(seed)
-    universe = _all_edges(n)
-    rng.shuffle(universe)
     g = Graph(n)
+    adj = g.adj
     deficient = n  # vertices with degree < 2
-    m_stop = 0
-    for u, v in universe:
-        du, dv = len(g.adj[u]), len(g.adj[v])
+    while deficient:
+        u, v = _random_pair(rng, n)
+        if v in adj[u]:
+            continue
+        deficient -= (len(adj[u]) == 1) + (len(adj[v]) == 1)
         g.add_edge(u, v)
-        m_stop += 1
-        if du == 1:
-            deficient -= 1
-        if dv == 1:
-            deficient -= 1
-        if deficient == 0:
-            break
-    return g, m_stop
+    return g, g.m
 
 
 def gen_boll_digraph(
     n: int, seed: int, threshold: int = 1
 ) -> tuple[Digraph, int]:
     """Random-permutation prefix of all arcs, stopped when every vertex has
-    in-degree and out-degree >= threshold (default 1)."""
+    in-degree and out-degree >= threshold (default 1).
+
+    The permutation is drawn arc by arc: uniform ordered pairs, repeats
+    rejected.  Returns the digraph and the number of arcs kept."""
     if n < 2:
         raise ValueError("gen_boll_digraph requires n >= 2")
     if threshold < 1 or threshold > n - 1:
         raise ValueError("threshold out of range")
     rng = random.Random(seed)
-    universe = _all_arcs(n)
-    rng.shuffle(universe)
     d = Digraph(n)
+    out_adj, in_adj = d.out_adj, d.in_adj
+    below = threshold - 1
     deficient = 2 * n  # (vertex, side) pairs below threshold
-    m_stop = 0
-    for u, v in universe:
-        ou, iv = len(d.out_adj[u]), len(d.in_adj[v])
+    while deficient:
+        u, v = _random_pair(rng, n)
+        if v in out_adj[u]:
+            continue
+        deficient -= (len(out_adj[u]) == below) + (len(in_adj[v]) == below)
         d.add_arc(u, v)
-        m_stop += 1
-        if ou == threshold - 1:
-            deficient -= 1
-        if iv == threshold - 1:
-            deficient -= 1
-        if deficient == 0:
-            break
-    return d, m_stop
+    return d, d.m
 
 
 def gen_m_out(n: int, m: int, seed: int) -> Digraph:
@@ -245,10 +251,10 @@ def gen_m_out(n: int, m: int, seed: int) -> Digraph:
         raise ValueError("gen_m_out requires 1 <= m <= n-1")
     rng = random.Random(seed)
     d = Digraph(n)
+    others = range(n - 1)
     for v in range(1, n + 1):
-        targets = [w for w in range(1, n + 1) if w != v]
-        for w in rng.sample(targets, m):
-            d.add_arc(v, w)
+        for j in rng.sample(others, m):
+            d.add_arc(v, _other(v, j))
     return d
 
 
@@ -258,12 +264,12 @@ def gen_in_out(n: int, i: int, o: int, seed: int) -> Digraph:
         raise ValueError("gen_in_out requires 1 <= i,o <= n-1")
     rng = random.Random(seed)
     arcs: set[tuple[int, int]] = set()
+    others = range(n - 1)
     for v in range(1, n + 1):
-        others = [w for w in range(1, n + 1) if w != v]
-        for w in rng.sample(others, i):
-            arcs.add((v, w))
-        for w in rng.sample(others, o):
-            arcs.add((w, v))
+        for j in rng.sample(others, i):
+            arcs.add((v, _other(v, j)))
+        for j in rng.sample(others, o):
+            arcs.add((_other(v, j), v))
     return Digraph(n, arcs)
 
 

@@ -211,10 +211,6 @@ def complement_start_tour(
     rng = random.Random(seed)
     n = g.n
     verts = list(range(1, n + 1))
-
-    def anti_succ(v: int) -> list[int]:
-        return [w for w in verts if w != v and not g.has_arc(v, w)]
-
     # cheap randomized attempts first
     for _ in range(tries):
         rng.shuffle(verts)
@@ -222,31 +218,33 @@ def complement_start_tour(
             not g.has_arc(verts[i], verts[(i + 1) % n]) for i in range(n)
         ):
             return Tour(g, list(verts))
-    # exhaustive backtracking in the complement, in seeded random order
+    # exhaustive backtracking in the complement, in seeded random order;
+    # an explicit stack of candidate iterators, one per vertex on the path
     verts.sort()
+
+    def anti_succ(v: int) -> list[int]:
+        """The unused w with (v, w) not a host arc, shuffled."""
+        cands = [w for w in verts if w not in used and not g.has_arc(v, w)]
+        rng.shuffle(cands)
+        return cands
+
     order = [1]
     used = {1}
-
-    def extend() -> Optional[list[int]]:
-        v = order[-1]
-        cands = [w for w in anti_succ(v) if w not in used]
-        rng.shuffle(cands)
-        for w in cands:
+    stack = [iter(anti_succ(1))]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            if stack:
+                used.discard(order.pop())
+        elif len(order) + 1 == n:
+            if not g.has_arc(w, 1):
+                return Tour(g, order + [w])
+        else:
             order.append(w)
             used.add(w)
-            if len(order) == n:
-                if not g.has_arc(w, 1):
-                    return list(order)
-            else:
-                got = extend()
-                if got:
-                    return got
-            order.pop()
-            used.discard(w)
-        return None
-
-    res = extend()
-    return Tour(g, res) if res else None
+            stack.append(iter(anti_succ(w)))
+    return None
 
 
 def converge(

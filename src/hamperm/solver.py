@@ -15,6 +15,14 @@ convert pseudo-arcs (tour arcs absent from the host) into host arcs:
       unavailable, escapes dead ends by undoing moves from a double-ended
       BACKTRACK queue of inverses.
 
+An iteration sorts the pseudo-arc vertices and, in graph mode, shuffles
+them to pick a rotation; its other Python-level work is bounded by the
+sampled candidates.  The sorted neighbour lists are built once per solve,
+a move or rotation costs a few C-level list slices on the array Tour plus
+O(1) host lookups, and the containment ranking is linear in the candidate
+count.  The solver keeps no abbreviation of the tour (tour.Abbreviation is
+the paper's run notation, for goldens and rendering).
+
 Degree-2 chains are contracted away first (see contract); a circuit found
 on the contracted graph is expanded back and re-verified on the original
 host.  Everything is deterministic per (input, params, seed).
@@ -24,9 +32,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .contract import (
     ContractedGraph,
@@ -35,22 +44,20 @@ from .contract import (
     _reduce_graph,
 )
 from .graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
-from .tour import Abbreviation, Move, Tour, diff_score, passes_pseudo_filter, rebase
+from .oracle import verify_circuit
+from .tour import Move, Tour, diff_score, passes_pseudo_filter
 
 
 @dataclass
 class SolveParams:
     """Caps default to the natural-log schedule when left unset:
-    edge_cap ceil(ln n); test_cap 2*ceil(ln n)^2; two phase budgets of
-    2*n*ceil(ln n) iterations each (thorough: 12*n^3*ceil(ln n) total);
-    rebase cadence floor(sqrt(n))."""
+    edge_cap ceil(ln n); test_cap 2*ceil(ln n)^2; an iteration budget of
+    4*n*ceil(ln n) (thorough: 12*n^3*ceil(ln n), which overrides budget)."""
 
     edge_cap: Optional[int] = None
     test_cap: Optional[int] = None
-    phase1_budget: Optional[int] = None
-    phase2_budget: Optional[int] = None
+    budget: Optional[int] = None
     thorough: bool = False
-    rebase_cadence: Optional[int] = None
     backtrack_cap: Optional[int] = None
     seed: int = 0
 
@@ -60,20 +67,15 @@ class SolveParams:
         test_cap = self.test_cap if self.test_cap is not None else 2 * ln * ln
         if self.thorough:
             budget = 12 * n**3 * ln
+        elif self.budget is not None:
+            budget = self.budget
         else:
-            p1 = self.phase1_budget if self.phase1_budget is not None else 2 * n * ln
-            p2 = self.phase2_budget if self.phase2_budget is not None else 2 * n * ln
-            budget = p1 + p2
-        cadence = (
-            self.rebase_cadence
-            if self.rebase_cadence is not None
-            else max(1, math.isqrt(n))
-        )
-        for val in (edge_cap, test_cap, budget, cadence):
+            budget = 4 * n * ln
+        for val in (edge_cap, test_cap, budget):
             if val < 1:
                 raise ValueError("all caps must be >= 1")
         return ResolvedParams(
-            edge_cap, test_cap, budget, cadence, self.backtrack_cap, self.seed
+            edge_cap, test_cap, budget, self.backtrack_cap, self.seed
         )
 
 
@@ -82,7 +84,6 @@ class ResolvedParams:
     edge_cap: int
     test_cap: int
     budget: int
-    rebase_cadence: int
     backtrack_cap: Optional[int]
     seed: int
 
@@ -98,16 +99,6 @@ class SolveReport:
     final_pseudo: int = 0
     pseudo_trajectory: list[int] = field(default_factory=list)
     detail: str = ""
-
-
-def verify_circuit(g: AnyGraph, circuit: Sequence[int]) -> bool:
-    """True iff circuit is a permutation of 1..n whose consecutive pairs,
-    cyclically, are all host edges/arcs."""
-    if len(circuit) != g.n or sorted(circuit) != list(range(1, g.n + 1)):
-        return False
-    return all(
-        g.has_arc(circuit[i], circuit[(i + 1) % g.n]) for i in range(g.n)
-    )
 
 
 def initial_tour(cg: ContractedGraph, seed: int, mode: str = "any") -> Tour:
@@ -138,17 +129,28 @@ def initial_tour(cg: ContractedGraph, seed: int, mode: str = "any") -> Tour:
 # --------------------------------------------------------------------------
 
 
-def _host_neighbors(h: AnyGraph, v: int, incoming: bool = False) -> list[int]:
+def _sorted_neighbors(h: AnyGraph) -> tuple[dict, dict]:
+    """(out-neighbours, in-neighbours) of every vertex as sorted lists; for
+    a graph both are the same lists."""
     if h.directed:
-        return sorted(h.in_adj[v] if incoming else h.out_adj[v])
-    return sorted(h.adj[v])
+        out = {v: sorted(ws) for v, ws in h.out_adj.items()}
+        return out, {v: sorted(ws) for v, ws in h.in_adj.items()}
+    out = {v: sorted(ws) for v, ws in h.adj.items()}
+    return out, out
 
 
 def _candidates(
-    h: AnyGraph, t: Tour, a: int, rng: random.Random, rp: ResolvedParams
+    t: Tour,
+    a: int,
+    pseudos: list[int],
+    nbrs: tuple[dict, dict],
+    rng: random.Random,
+    rp: ResolvedParams,
 ) -> list[Move]:
     """Admissible, filter-passing candidate moves anchored at pseudo-arc
-    vertex a, built from sampled host edges."""
+    vertex a (an element of the sorted list pseudos), built from sampled
+    host edges."""
+    out_nbrs, in_nbrs = nbrs
     ha = t.succ(a)
     tests = 0
     out: list[Move] = []
@@ -171,7 +173,7 @@ def _candidates(
         return rng.sample(pool, k) if k else []
 
     # splice points b: the created arc (a, x) is a host arc by construction
-    xs = [x for x in _host_neighbors(h, a) if x != ha and x != a]
+    xs = [x for x in out_nbrs[a] if x != ha and x != a]
     bs: list[tuple[int, int]] = []
     for x in sample(xs):
         b = t.pred(x)
@@ -179,24 +181,21 @@ def _candidates(
             bs.append((b, x))
     for b, _x in bs:
         # second edge at b: 3-cycle (a b c) also creates host arc (b, y)
-        ys = [y for y in _host_neighbors(h, b) if y not in (a, b)]
+        ys = [y for y in out_nbrs[b] if y not in (a, b)]
         for y in sample(ys):
             c = t.pred(y)
             if c not in (a, b):
                 consider(Move.cycle3(a, b, c))
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
-        zs = [
-            z
-            for z in _host_neighbors(h, ha, incoming=True)
-            if z not in (a, b, ha)
-        ]
+        zs = [z for z in in_nbrs[ha] if z not in (a, b, ha)]
         for y in sample(zs):
             consider(Move.cycle3(a, b, y))
-    # POTDTs seeded from a second pseudo-arc vertex
-    others = [v for v in sorted(t.pseudo_vertices()) if v != a]
-    if others and bs:
-        v2 = rng.choice(others)
-        ws = [w for w in _host_neighbors(h, v2) if w != t.succ(v2) and w != v2]
+    # POTDTs seeded from a second pseudo-arc vertex, drawn uniformly from
+    # pseudos without a (the same draw as rng.choice on that list)
+    if len(pseudos) > 1 and bs:
+        i = rng.choice(range(len(pseudos) - 1))
+        v2 = pseudos[i if i < bisect_left(pseudos, a) else i + 1]
+        ws = [w for w in out_nbrs[v2] if w != t.succ(v2) and w != v2]
         for w in sample(ws):
             d = t.pred(w)
             for b, _x in bs:
@@ -206,26 +205,26 @@ def _candidates(
 
 
 def _containment_counts(cands: list[Move]) -> list[int]:
-    vert_sets = [set(m.verts) for m in cands]
+    """For each candidate, the number of other candidates sharing a vertex
+    with it."""
+    by_vertex: dict[int, list[int]] = {}
+    for i, m in enumerate(cands):
+        for v in m.verts:
+            by_vertex.setdefault(v, []).append(i)
     return [
-        sum(1 for other in vert_sets if other is not vs and other & vs)
-        for vs in vert_sets
+        len(set().union(*(by_vertex[v] for v in m.verts))) - 1 for m in cands
     ]
 
 
 def _pick_rotation(
-    h: Graph, t: Tour, rng: random.Random, rp: ResolvedParams
+    t: Tour, nbrs: dict, rng: random.Random
 ) -> Optional[tuple[int, int]]:
     """A rotation (v, w) anchored at a pseudo-arc vertex v along an off-tour
     host edge [v, w]; such a rotation never increases |PSEUDO|."""
     pseudos = sorted(t.pseudo_vertices())
     rng.shuffle(pseudos)
     for v in pseudos:
-        ws = [
-            w
-            for w in _host_neighbors(h, v)
-            if w not in (v, t.succ(v), t.pred(v))
-        ]
+        ws = [w for w in nbrs[v] if w not in (v, t.succ(v), t.pred(v))]
         if ws:
             return v, rng.choice(ws)
     return None
@@ -240,8 +239,8 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             return SolveReport("circuit", [1, 2])
         return SolveReport("timeout", detail="no circuit on 2 vertices")
     rng = random.Random(rp.seed)
+    nbrs = _sorted_neighbors(h)
     t = Tour(h, _shuffled(n, rng))
-    abb = rebase(t)
     backtrack: deque[Move] = deque()
     rep = SolveReport("timeout")
     # digraph mode has no rotations, so a bad start can oscillate; restart
@@ -255,7 +254,6 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             break
         if h.directed and since_improve >= stall_limit:
             t = Tour(h, _shuffled(n, rng))
-            abb = rebase(t)
             backtrack.clear()
             best_pseudo = n + 1
             since_improve = 0
@@ -263,7 +261,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         rep.iterations += 1
         before = len(pseudos)
         a = rng.choice(pseudos)
-        cands = _candidates(h, t, a, rng, rp)
+        cands = _candidates(t, a, pseudos, nbrs, rng, rp)
         recent = backtrack[0] if backtrack else None
         applied: Optional[Move] = None
         if h.directed and recent is not None and len(cands) == 1 and (
@@ -273,7 +271,6 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             # explicit backtrack step
             backtrack.popleft()
             t.apply(cands[0])
-            abb.apply_move(cands[0])
             rep.backtracks += 1
             applied = cands[0]
         else:
@@ -293,7 +290,6 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
                 )
                 applied = cands[best]
                 t.apply(applied)
-                abb.apply_move(applied)
                 backtrack.appendleft(applied.inverse())
                 if rp.backtrack_cap and len(backtrack) > rp.backtrack_cap:
                     backtrack.pop()
@@ -303,21 +299,17 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
                 if h.directed and backtrack:
                     m = backtrack.popleft()
                     t.apply(m)
-                    abb.apply_move(m)
                     rep.backtracks += 1
         if not h.directed:
-            rot = _pick_rotation(h, t, rng, rp)
+            rot = _pick_rotation(t, nbrs[0], rng)
             if rot is not None:
                 t.rotate(*rot)
-                abb.rotate(*rot)
             elif applied is None and not cands:
                 rep.detail = "stuck: no off-tour host edge at any pseudo-arc vertex"
                 rep.pseudo_trajectory.append(len(t.pseudo_vertices()))
                 break
             after = len(t.pseudo_vertices())
             assert after <= before, "pseudo count increased in graph mode"
-        if rep.iterations % rp.rebase_cadence == 0:
-            abb = rebase(t)
         cur = len(t.pseudo_vertices())
         if cur < best_pseudo:
             best_pseudo = cur
@@ -392,10 +384,9 @@ def _condense(g: AnyGraph):
     return cond, elements, None
 
 
-def _lift(circuit: list[int], elements: dict, directed: bool) -> list[int]:
+def _lift(circuit: list[int], elements: dict) -> list[int]:
     """Replace condensed vertices by host vertices; a chain dummy expands to
     its interior, oriented by the neighboring endpoint elements."""
-    k = len(circuit)
     out: list[int] = []
     for i, x in enumerate(circuit):
         el = elements[x]
@@ -428,7 +419,7 @@ def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
     rep = _solve_core(cond, rp)
     if rep.outcome != "circuit":
         return rep
-    host_circuit = _lift(rep.circuit, elements, g.directed)
+    host_circuit = _lift(rep.circuit, elements)
     if not verify_circuit(g, host_circuit):
         return SolveReport(
             "timeout",

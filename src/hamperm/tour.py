@@ -25,15 +25,22 @@ and a POTDT (a c)(b d) rewires
 Rotations (graph mode only) reverse the tour segment between v and w where
 [v, w] is a host edge off the tour.
 
-Abbreviations represent the current tour as a short list of runs of
-base-tour ordinals, so a bounded number of moves can be applied and undone
-cheaply before re-materializing ("rebasing") against a new base.
+The Tour is an array (order) with a position map (pos).  A move or a
+rotation costs a few C-level list slices plus a position update, and O(1)
+host lookups: only the 3-4 arcs a move creates, or the 2 arcs a rotation
+creates, are tested against the host.
+
+Abbreviations represent a tour as a short list of runs of base-tour
+ordinals, so a bounded number of moves can be applied and undone cheaply
+before re-materializing ("rebasing") against a new base.  They are the
+golden and rendering API of the paper's notation; the solver does not keep
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import AnyGraph
 
@@ -146,12 +153,6 @@ class Tour:
         t.pseudo = set(self.pseudo)
         return t
 
-    def same_cycle(self, other: "Tour") -> bool:
-        """True if the two tours are the same cyclic order (same start or not)."""
-        if self.n != other.n:
-            return False
-        return all(self.succ(v) == other.succ(v) for v in self.order)
-
     # ---------- pseudo registry ----------
 
     def _is_pseudo(self, v: int, w: int) -> bool:
@@ -209,35 +210,41 @@ class Tour:
         return {v: self.succ(p[v]) for v in p}
 
     def new_arcs(self, m: Move) -> list[tuple[int, int]]:
-        ov = self.overlay(m)
-        return [(v, ov[v]) for v in m.perm()]
+        return list(self.overlay(m).items())
 
     def replaced_arcs(self, m: Move) -> list[tuple[int, int]]:
         return [(v, self.succ(v)) for v in m.perm()]
 
     def apply(self, m: Move) -> "Tour":
-        """Apply an admissible move in place; returns self."""
+        """Apply an admissible move in place; returns self.
+
+        Cutting the cycle after each moved vertex leaves at most four
+        chunks, and the move only relinks them (no chunk is reversed), so
+        the new order is a concatenation of list slices.  The chunk holding
+        order[0] keeps its place, so order[0] and every position outside
+        the first..last cut span stay as they were.
+        """
         if not self.admissible(m):
             raise InadmissibleMove(f"move {m} is not admissible on this tour")
-        overlay = self.overlay(m)
+        perm = m.perm()
         order = self.order
         pos = self.pos
-        n = len(order)
-        start = order[0]
-        new_order = []
-        v = start
-        for _ in range(n):
-            new_order.append(v)
-            nxt = overlay.get(v)
-            if nxt is None:
-                i = pos[v] + 1
-                nxt = order[i if i < n else 0]
-            v = nxt
-        if v != start:  # pragma: no cover - guarded by admissibility
+        cuts = sorted(pos[v] for v in perm)
+        first, last = cuts[0], cuts[-1]
+        # the chunk ending at a cut begins right after the previous cut;
+        # the chunk that follows it is the one after the cut at s(u)
+        begin = dict(zip(cuts[1:], cuts))
+        after = dict(zip(cuts, cuts[1:] + cuts[:1]))
+        middle: list[int] = []
+        c = after[pos[perm[order[first]]]]
+        while c != first:
+            middle += order[begin[c] + 1 : c + 1]
+            c = after[pos[perm[order[c]]]]
+        if len(middle) != last - first:  # pragma: no cover - admissibility
             raise InadmissibleMove(f"move {m} does not yield a single n-cycle")
-        self.order = new_order
-        self.pos = {u: i for i, u in enumerate(new_order)}
-        self._refresh_pseudo(m.perm())
+        order[first + 1 : last + 1] = middle
+        pos.update(zip(middle, range(first + 1, last + 1)))
+        self._refresh_pseudo(perm)
         return self
 
     # ---------- rotation (graph mode) ----------
@@ -246,6 +253,10 @@ class Tour:
         """Reverse the segment succ(v)..w so the tour reads v, w, ..., succ(v).
 
         Requires [v, w] to be a host edge not on the tour; graph mode only.
+        The tour is restarted at v (order[0] == v afterwards).  Inside the
+        reversed segment each edge keeps its host status and only its
+        initial vertex moves one step, so just the two new arcs (v, w) and
+        (old succ(v), old succ(w)) are looked up in the host.
         """
         if self.host.directed:
             raise UnsupportedOperation("rotations are undefined for digraphs")
@@ -254,16 +265,20 @@ class Tour:
         if not self.host.has_arc(v, w):
             raise ValueError(f"[{v},{w}] is not a host edge")
         i = self.pos[v]
-        if i != 0:
-            self.order = self.order[i:] + self.order[:i]
-            self.pos = {u: k for k, u in enumerate(self.order)}
-        j = self.pos[w]
-        seg = self.order[1 : j + 1]
-        seg.reverse()
-        self.order[1 : j + 1] = seg
-        for k, u in enumerate(seg, start=1):
-            self.pos[u] = k
-        self._refresh_pseudo([v] + seg)
+        order = self.order[i:] + self.order[:i]
+        j = (self.pos[w] - i) % len(order)
+        head = order[1]
+        pseudo = self.pseudo
+        inner = pseudo.intersection(order[1:j])
+        pseudo.difference_update(order[1 : j + 1])
+        order[1 : j + 1] = order[j:0:-1]
+        self.order = order
+        self.pos = pos = dict(zip(order, range(len(order))))
+        # the edge that began at x now begins at its old successor, which
+        # sits right before x in the reversed segment
+        shifted = map((-1).__add__, map(pos.__getitem__, inner))
+        pseudo.update(map(order.__getitem__, shifted))
+        self._refresh_pseudo((v, head))
         return self
 
     # ---------- integrity / serialization ----------
@@ -277,16 +292,6 @@ class Tour:
         assert self.pseudo == {
             v for v in self.order if not self.host.has_arc(v, self.succ(v))
         }
-
-    def to_text(self) -> str:
-        lines = [" ".join(str(v) for v in self.order)]
-        if self.pseudo:
-            lines.append(
-                " ".join(
-                    f"{v}~{self.succ(v)}" for v in sorted(self.pseudo)
-                )
-            )
-        return "\n".join(lines)
 
 
 # ---------- module-level operation surface ----------
@@ -316,7 +321,7 @@ def diff_score(t: Tour, m: Move) -> int:
     """DIFF = (host edges among the arcs m creates) - (arc vertices among m's
     vertices).  Higher is better."""
     e_s = sum(1 for u, w in t.new_arcs(m) if t.host.has_arc(u, w))
-    a_s = sum(1 for v in m.perm() if v not in t.pseudo)
+    a_s = sum(1 for v in m.verts if v not in t.pseudo)
     return e_s - a_s
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -191,3 +193,116 @@ def test_random_model_sanity():
         n = rng.randint(10, 40)
         g, _ = gen_boll_graph(n, rng.randint(0, 10**6))
         assert sum(g.degree(v) for v in range(1, n + 1)) == 2 * g.m
+
+
+# --------------------------------------------------------------------------
+# generators: identical output to the list-based draws, exact Boll laws
+# --------------------------------------------------------------------------
+
+
+def _m_out_by_lists(n, m, seed):
+    """gen_m_out as it was written with an O(n) candidate list per vertex."""
+    rng = random.Random(seed)
+    d = Digraph(n)
+    for v in range(1, n + 1):
+        targets = [w for w in range(1, n + 1) if w != v]
+        for w in rng.sample(targets, m):
+            d.add_arc(v, w)
+    return d
+
+
+def _in_out_by_lists(n, i, o, seed):
+    """gen_in_out as it was written with an O(n) candidate list per vertex."""
+    rng = random.Random(seed)
+    arcs = set()
+    for v in range(1, n + 1):
+        others = [w for w in range(1, n + 1) if w != v]
+        for w in rng.sample(others, i):
+            arcs.add((v, w))
+        for w in rng.sample(others, o):
+            arcs.add((w, v))
+    return Digraph(n, arcs)
+
+
+@pytest.mark.parametrize("n", [2, 4, 20, 200])
+def test_m_out_and_in_out_match_list_based_draws(n):
+    # random.sample draws from a pool for large k and from a set for small
+    # k; n=200 with k=3 and k=199 takes both paths
+    ks = sorted({1, min(2, n - 1), min(3, n - 1), n - 1})
+    for seed in range(12 if n < 200 else 3):
+        for k in ks:
+            assert sorted(gen_m_out(n, k, seed).arcs) == sorted(
+                _m_out_by_lists(n, k, seed).arcs
+            )
+            assert sorted(gen_in_out(n, k, 1, seed).arcs) == sorted(
+                _in_out_by_lists(n, k, 1, seed).arcs
+            )
+            assert sorted(gen_in_out(n, 1, k, seed).arcs) == sorted(
+                _in_out_by_lists(n, 1, k, seed).arcs
+            )
+
+
+def _stopped_law(pairs, stopped):
+    """Exact law of the stopped prefix of a uniform order of pairs:
+    {frozenset of kept pairs: probability}, over all len(pairs)! orders."""
+    counts = {}
+    for perm in itertools.permutations(pairs):
+        for k in range(1, len(perm) + 1):
+            if stopped(perm[:k]):
+                key = frozenset(perm[:k])
+                counts[key] = counts.get(key, 0) + 1
+                break
+    total = math.factorial(len(pairs))
+    return {key: c / total for key, c in counts.items()}
+
+
+def _assert_matches_law(law, sample, trials):
+    """Every observed set has positive probability and every count lies
+    within 5 standard deviations of its binomial mean."""
+    observed = {}
+    for key in sample:
+        observed[key] = observed.get(key, 0) + 1
+    assert set(observed) <= set(law)
+    for key, p in law.items():
+        sd = math.sqrt(trials * p * (1 - p))
+        assert abs(observed.get(key, 0) - trials * p) <= 5 * sd, (sorted(key), p)
+
+
+def _min_degree_two(edges):
+    deg = {v: 0 for v in range(1, 5)}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return min(deg.values()) >= 2
+
+
+def _in_and_out(arcs):
+    return {u for u, _ in arcs} == {1, 2, 3} == {v for _, v in arcs}
+
+
+def test_boll_graph_law_is_exact_on_k4():
+    law = _stopped_law(sorted(complete_graph(4).edges), _min_degree_two)
+    trials = 20_000
+    sample = []
+    for seed in range(trials):
+        g, m_stop = gen_boll_graph(4, seed)
+        assert m_stop == g.m
+        sample.append(frozenset(g.edges))
+    _assert_matches_law(law, sample, trials)
+
+
+def test_boll_digraph_law_is_exact_on_three_vertices():
+    law = _stopped_law(sorted(complete_digraph(3).arcs), _in_and_out)
+    trials = 20_000
+    sample = []
+    for seed in range(trials):
+        d, m_stop = gen_boll_digraph(3, seed)
+        assert m_stop == d.m
+        sample.append(frozenset(d.arcs))
+    _assert_matches_law(law, sample, trials)
+
+
+def test_boll_digraph_full_threshold_gives_complete_digraph():
+    for seed in range(5):
+        d, m_stop = gen_boll_digraph(6, seed, threshold=5)
+        assert d == complete_digraph(6) and m_stop == 30

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -210,3 +211,84 @@ def test_enumerate_random_graphs():
                 if rng.random() < rng.uniform(0.3, 0.8):
                     g.add_edge(u, v)
         assert enumerate_all(g) == brute_force_circuits(g)
+
+
+def test_complement_start_tour_is_not_recursive():
+    # the complement of C_300 has exactly one Hamilton circuit, C_300
+    # itself; the backtracking reaches depth 300, past the lowered limit
+    n = 300
+    cycle = cycle_graph(n)
+    host = Graph(
+        n,
+        [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if not cycle.has_edge(u, v)
+        ],
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        t = complement_start_tour(host, 7)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t is not None
+    seq = t.sequence_from(1)
+    assert seq in (list(range(1, n + 1)), [1] + list(range(n, 1, -1)))
+
+
+def _complement_start_tour_recursive(g, seed, tries=64):
+    """complement_start_tour as it was written with a recursive search."""
+    rng = random.Random(seed)
+    n = g.n
+    verts = list(range(1, n + 1))
+
+    def anti_succ(v):
+        return [w for w in verts if w != v and not g.has_arc(v, w)]
+
+    for _ in range(tries):
+        rng.shuffle(verts)
+        if all(not g.has_arc(verts[i], verts[(i + 1) % n]) for i in range(n)):
+            return list(verts)
+    verts.sort()
+    order = [1]
+    used = {1}
+
+    def extend():
+        v = order[-1]
+        cands = [w for w in anti_succ(v) if w not in used]
+        rng.shuffle(cands)
+        for w in cands:
+            order.append(w)
+            used.add(w)
+            if len(order) == n:
+                if not g.has_arc(w, 1):
+                    return list(order)
+            else:
+                got = extend()
+                if got:
+                    return got
+            order.pop()
+            used.discard(w)
+        return None
+
+    return extend()
+
+
+def test_complement_start_tour_matches_recursive_search():
+    rng = random.Random(11)
+    for seed in range(150):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        edges = [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if rng.random() < density
+        ]
+        g = Graph(n, edges)
+        for tries in (0, 2):
+            t = complement_start_tour(g, seed, tries=tries)
+            want = _complement_start_tour_recursive(g, seed, tries)
+            assert (t.order if t else None) == want

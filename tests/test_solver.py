@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hamperm.graphs import (
@@ -17,6 +19,7 @@ from hamperm.solver import (
     verify_circuit,
 )
 from hamperm.contract import contract
+from hamperm.oracle import verify_circuit as oracle_verify_circuit
 
 
 def test_solve_complete_graph():
@@ -145,3 +148,19 @@ def test_thorough_budget_expands_iterations():
 def test_params_validation():
     with pytest.raises(ValueError):
         SolveParams(edge_cap=0).resolve(10)
+
+
+def test_single_budget_knob():
+    ln50 = math.ceil(math.log(50))
+    assert SolveParams().resolve(50).budget == 4 * 50 * ln50
+    assert SolveParams(budget=7).resolve(50).budget == 7
+    assert SolveParams(budget=7, thorough=True).resolve(50).budget == 12 * 50**3 * ln50
+    with pytest.raises(ValueError):
+        SolveParams(budget=0).resolve(10)
+    g, _ = gen_boll_graph(200, 1)
+    rep = solve_graph(g, SolveParams(seed=1, budget=3))
+    assert rep.outcome == "timeout" and rep.iterations == 3
+
+
+def test_verify_circuit_is_the_oracle_one():
+    assert verify_circuit is oracle_verify_circuit

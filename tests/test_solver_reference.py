@@ -1,0 +1,180 @@
+"""The slice-based Tour and the solver loop against their references.
+
+tests/solver_reference.py holds the array Tour and the solver loop as they
+were before the fast paths; both must agree with the current code exactly:
+the whole SolveReport per instance, and order/pos/pseudo after every step of
+seeded random move and rotation sequences.
+"""
+
+import random
+
+import pytest
+
+import solver_reference as ref
+from hamperm import solver
+from hamperm.graphs import (
+    complete_digraph,
+    complete_graph,
+    cycle_graph,
+    gen_boll_digraph,
+    gen_boll_graph,
+    gen_in_out,
+    gen_m_out,
+    to_undirected,
+)
+from hamperm.solver import SolveParams, solve_digraph, solve_graph
+from hamperm.tour import InadmissibleMove, Move, Tour
+
+
+def _model(model, n, seed):
+    if model == "boll":
+        return gen_boll_graph(n, seed)[0]
+    if model == "r3":
+        return to_undirected(gen_m_out(n, 3, seed))
+    if model == "bolld":
+        return gen_boll_digraph(n, seed)[0]
+    return gen_in_out(n, 2, 2, seed)
+
+
+# (n, seeds per model): 26 instances of each of the four models
+SIZES = ((10, 6), (16, 6), (30, 5), (60, 4), (120, 3), (300, 2))
+MODEL_CASES = [
+    (model, n, 1000 * n + k)
+    for model in ("boll", "r3", "bolld", "inout")
+    for n, count in SIZES
+    for k in range(count)
+]
+
+
+def _both(g, seed, **caps):
+    """(current report, reference report) for g with the given caps; a
+    budget goes to the reference as its first phase, the second set to 0."""
+    budget = caps.pop("budget", None)
+    new = SolveParams(seed=seed, budget=budget, **caps)
+    old = ref.SolveParams(seed=seed, **caps)
+    if budget is not None:
+        old.phase1_budget, old.phase2_budget = budget, 0
+    if g.directed:
+        return solve_digraph(g, new), ref.solve_digraph(g, old)
+    return solve_graph(g, new), ref.solve_graph(g, old)
+
+
+@pytest.mark.parametrize(
+    "model,n,seed", MODEL_CASES, ids=[f"{m}-n{n}-s{s}" for m, n, s in MODEL_CASES]
+)
+def test_solve_matches_reference(model, n, seed):
+    got, want = _both(_model(model, n, seed), seed)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 25])
+def test_complete_and_cycle_hosts_match_reference(n):
+    for g in (complete_graph(n), cycle_graph(n), complete_digraph(n)):
+        for seed in (0, 5):
+            got, want = _both(g, seed)
+            assert got == want
+
+
+def test_caps_and_budgets_match_reference():
+    g = gen_boll_graph(80, 3)[0]
+    d = gen_boll_digraph(80, 3)[0]
+    for caps in (
+        {"budget": 1},
+        {"budget": 25},
+        {"edge_cap": 1, "test_cap": 3},
+        {"edge_cap": 6, "test_cap": 200},
+        {"backtrack_cap": 2},
+    ):
+        for host in (g, d):
+            got, want = _both(host, 9, **dict(caps))
+            assert got == want
+
+
+@pytest.mark.parametrize("n,seed", [(12, 42), (16, 8), (16, 49), (20, 54)])
+def test_digraph_restarts_match_reference(monkeypatch, n, seed):
+    # these Boll digraphs stall past the restart limit at least once
+    shuffles = []
+    real = solver._shuffled
+    monkeypatch.setattr(
+        solver, "_shuffled", lambda k, rng: shuffles.append(k) or real(k, rng)
+    )
+    got, want = _both(gen_boll_digraph(n, seed)[0], seed)
+    assert len(shuffles) > 1
+    assert got == want
+
+
+def test_containment_counts_match_reference():
+    # the solver's candidates all contain their anchor vertex, so there the
+    # counts are always k - 1; free random move lists exercise the overlaps
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(4, 14)
+        cands = []
+        for _ in range(rng.randint(0, 25)):
+            verts = rng.sample(range(1, n + 1), rng.choice((3, 4)))
+            make = Move.cycle3 if len(verts) == 3 else Move.potdt
+            cands.append(make(*verts))
+        assert solver._containment_counts(cands) == ref._containment_counts(cands)
+
+
+# --------------------------------------------------------------------------
+# Tour: seeded random move and rotation sequences
+# --------------------------------------------------------------------------
+
+
+def _random_host(rng, k):
+    n = rng.randint(4, 60)
+    pick = k % 4
+    if pick == 0:
+        return gen_boll_graph(max(n, 5), k)[0]
+    if pick == 1:
+        return complete_graph(n)
+    if pick == 2:
+        return to_undirected(gen_m_out(n, 2, k))
+    return gen_boll_digraph(n, k)[0]
+
+
+def _same(t, r):
+    t.check_invariants()
+    assert t.order == r.order
+    assert t.pos == r.pos
+    assert t.pseudo == r.pseudo
+
+
+@pytest.mark.parametrize("k", range(40))
+def test_tour_sequences_match_reference(k):
+    rng = random.Random(k)
+    h = _random_host(rng, k)
+    n = h.n
+    start = list(range(1, n + 1))
+    rng.shuffle(start)
+    t, r = Tour(h, start), ref.Tour(h, start)
+    _same(t, r)
+    for _ in range(150):
+        if not h.directed and rng.random() < 0.4:
+            v, w = rng.randint(1, n), rng.randint(1, n)
+            try:
+                r.rotate(v, w)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    t.rotate(v, w)
+                continue
+            t.rotate(v, w)
+            assert t.order[0] == v
+        else:
+            verts = rng.sample(range(1, n + 1), 4 if rng.random() < 0.5 else 3)
+            m = Move.cycle3(*verts) if len(verts) == 3 else Move.potdt(*verts)
+            if not r.admissible(m):
+                with pytest.raises(InadmissibleMove):
+                    t.apply(m)
+                _same(t, r)
+                continue
+            start_vertex = t.order[0]
+            t.apply(m)
+            r.apply(m)
+            assert t.order[0] == start_vertex
+        _same(t, r)
+        if rng.random() < 0.1:
+            c = t.copy()
+            _same(c, r)
+            t = c
