@@ -231,8 +231,6 @@ def _reduce_digraph(d: Digraph):
                     start = u
                 else:
                     break
-            if start in forced_in and next(iter(inn[start])) == s and start != s:
-                pass
             # walk forward
             path = [start]
             seen.add(start)
@@ -362,8 +360,6 @@ def contract(g: AnyGraph) -> ContractedGraph:
 def _entry_exit_states(el: Union[int, TwoPath], directed: bool):
     if isinstance(el, TwoPath):
         if directed:
-            return [(el.start, el.end)]
-        if el.start == el.end:  # single-vertex chain cannot occur, but guard
             return [(el.start, el.end)]
         return [(el.start, el.end), (el.end, el.start)]
     return [(el, el)]

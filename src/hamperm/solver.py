@@ -8,8 +8,7 @@ convert pseudo-arcs (tour arcs absent from the host) into host arcs:
     * keep only admissible candidates that create at most one new pseudo-arc
       (so |PSEUDO| never increases),
     * apply the best candidate by DIFF (host arcs created minus pseudo-arc
-      vertices consumed), tie-broken by how many other candidates share its
-      vertices, then by seeded random choice,
+      vertices consumed), ties broken by seeded random choice,
     * graph mode ends every iteration with one pseudo-anchored rotation
       (also monotone in |PSEUDO|); digraph mode, where rotations are
       unavailable, escapes dead ends by undoing moves from a double-ended
@@ -18,10 +17,9 @@ convert pseudo-arcs (tour arcs absent from the host) into host arcs:
 An iteration sorts the pseudo-arc vertices and, in graph mode, shuffles
 them to pick a rotation; its other Python-level work is bounded by the
 sampled candidates.  The sorted neighbour lists are built once per solve,
-a move or rotation costs a few C-level list slices on the array Tour plus
-O(1) host lookups, and the containment ranking is linear in the candidate
-count.  The solver keeps no abbreviation of the tour (tour.Abbreviation is
-the paper's run notation, for goldens and rendering).
+and a move or rotation costs a few C-level list slices on the array Tour
+plus O(1) host lookups.  The solver keeps no abbreviation of the tour
+(tour.Abbreviation is the paper's run notation, for goldens and rendering).
 
 Degree-2 chains are contracted away first (see contract); a circuit found
 on the contracted graph is expanded back and re-verified on the original
@@ -37,12 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .contract import (
-    ContractedGraph,
-    ContractError,
-    _reduce_digraph,
-    _reduce_graph,
-)
+from .contract import ContractError, _reduce_digraph, _reduce_graph
 from .graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
 from .oracle import verify_circuit
 from .tour import Move, Tour, diff_score, passes_pseudo_filter
@@ -58,7 +51,6 @@ class SolveParams:
     test_cap: Optional[int] = None
     budget: Optional[int] = None
     thorough: bool = False
-    backtrack_cap: Optional[int] = None
     seed: int = 0
 
     def resolve(self, n: int) -> "ResolvedParams":
@@ -74,9 +66,7 @@ class SolveParams:
         for val in (edge_cap, test_cap, budget):
             if val < 1:
                 raise ValueError("all caps must be >= 1")
-        return ResolvedParams(
-            edge_cap, test_cap, budget, self.backtrack_cap, self.seed
-        )
+        return ResolvedParams(edge_cap, test_cap, budget, self.seed)
 
 
 @dataclass
@@ -84,7 +74,6 @@ class ResolvedParams:
     edge_cap: int
     test_cap: int
     budget: int
-    backtrack_cap: Optional[int]
     seed: int
 
 
@@ -99,29 +88,6 @@ class SolveReport:
     final_pseudo: int = 0
     pseudo_trajectory: list[int] = field(default_factory=list)
     detail: str = ""
-
-
-def initial_tour(cg: ContractedGraph, seed: int, mode: str = "any") -> Tour:
-    """A seeded random tour over the contracted vertices.
-
-    mode "complement" rejects and reshuffles tours that contain host arcs
-    (for constructive-convergence experiments); it fails on dense hosts.
-    """
-    h = cg.graph
-    rng = random.Random(seed)
-    verts = list(range(1, h.n + 1))
-    if mode == "any":
-        rng.shuffle(verts)
-        return Tour(h, verts)
-    if mode != "complement":
-        raise ValueError(f"unknown initial_tour mode {mode!r}")
-    for _ in range(512):
-        rng.shuffle(verts)
-        if all(
-            not h.has_arc(verts[i], verts[(i + 1) % h.n]) for i in range(h.n)
-        ):
-            return Tour(h, verts)
-    raise ValueError("no complement-start tour found; host too dense")
 
 
 # --------------------------------------------------------------------------
@@ -204,18 +170,6 @@ def _candidates(
     return out
 
 
-def _containment_counts(cands: list[Move]) -> list[int]:
-    """For each candidate, the number of other candidates sharing a vertex
-    with it."""
-    by_vertex: dict[int, list[int]] = {}
-    for i, m in enumerate(cands):
-        for v in m.verts:
-            by_vertex.setdefault(v, []).append(i)
-    return [
-        len(set().union(*(by_vertex[v] for v in m.verts))) - 1 for m in cands
-    ]
-
-
 def _pick_rotation(
     t: Tour, nbrs: dict, rng: random.Random
 ) -> Optional[tuple[int, int]]:
@@ -282,17 +236,11 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
                 ]
             if cands:
                 diffs = [diff_score(t, m) for m in cands]
-                contain = _containment_counts(cands)
                 jitter = [rng.random() for _ in cands]
-                best = max(
-                    range(len(cands)),
-                    key=lambda i: (diffs[i], contain[i], jitter[i]),
-                )
+                best = max(range(len(cands)), key=lambda i: (diffs[i], jitter[i]))
                 applied = cands[best]
                 t.apply(applied)
                 backtrack.appendleft(applied.inverse())
-                if rp.backtrack_cap and len(backtrack) > rp.backtrack_cap:
-                    backtrack.pop()
                 rep.successes += 1
             else:
                 rep.failures += 1

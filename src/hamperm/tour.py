@@ -30,11 +30,10 @@ rotation costs a few C-level list slices plus a position update, and O(1)
 host lookups: only the 3-4 arcs a move creates, or the 2 arcs a rotation
 creates, are tested against the host.
 
-Abbreviations represent a tour as a short list of runs of base-tour
-ordinals, so a bounded number of moves can be applied and undone cheaply
-before re-materializing ("rebasing") against a new base.  They are the
-golden and rendering API of the paper's notation; the solver does not keep
-one.
+An Abbreviation is the paper's notation for a tour: the runs of base-tour
+ordinals it traverses, "a … b" ascending and "a --- b" descending.  It is a
+view of a Tour, moved by the same apply and rotate, and serves the goldens
+and rendering; the solver does not keep one.
 """
 
 from __future__ import annotations
@@ -212,9 +211,6 @@ class Tour:
     def new_arcs(self, m: Move) -> list[tuple[int, int]]:
         return list(self.overlay(m).items())
 
-    def replaced_arcs(self, m: Move) -> list[tuple[int, int]]:
-        return [(v, self.succ(v)) for v in m.perm()]
-
     def apply(self, m: Move) -> "Tour":
         """Apply an admissible move in place; returns self.
 
@@ -335,155 +331,54 @@ def passes_pseudo_filter(t: Tour, m: Move) -> bool:
 # ---------- abbreviations ----------
 
 
-class AbbreviationError(ValueError):
-    pass
-
-
 class Abbreviation:
-    """A tour represented as runs of ordinals over a frozen base tour.
+    """The paper's run notation for a tour, read off a Tour.
 
-    A run (a, b) denotes the base ordinals a..b traversed ascending when
-    a <= b and descending (the "---" / minus-sign convention) when a > b.
-    Moves and rotations splice O(1) runs each, so as long as the number of
-    moves since the base is bounded the structure stays sparse; rebasing
-    materializes and starts a fresh base.
+    The base tour's order fixes the ordinals (base_order[i] has ordinal
+    i + 1).  Moves and rotations go to a copy of the base through
+    Tour.apply and Tour.rotate, with their checks; the ordinal sequence is
+    that tour read from the base's first vertex, and runs are its maximal
+    ascending or descending stretches.  A run (a, b) denotes the ordinals
+    a..b, ascending when a <= b and descending (the "---" / minus-sign
+    convention) when a > b.
     """
 
     def __init__(self, base: Tour):
         self.base_order = list(base.order)
-        self.base_pos = {v: i for i, v in enumerate(self.base_order)}
-        self.host = base.host
-        self.runs: list[tuple[int, int]] = [(1, len(self.base_order))]
+        self.base_ord = {v: i + 1 for i, v in enumerate(self.base_order)}
+        self.tour = base.copy()
         self.move_count = 0
 
-    # base ordinals are 1-based positions in base_order
-    def _ord(self, v: int) -> int:
-        return self.base_pos[v] + 1
-
-    def _vertex(self, o: int) -> int:
-        return self.base_order[o - 1]
-
-    @staticmethod
-    def _run_len(run: tuple[int, int]) -> int:
-        return abs(run[1] - run[0]) + 1
-
-    def _expand(self) -> list[int]:
-        out: list[int] = []
-        for a, b in self.runs:
-            step = 1 if b >= a else -1
-            out.extend(range(a, b + step, step))
-        return out
-
-    def _check(self) -> None:
-        seq = self._expand()
-        n = len(self.base_order)
-        if sorted(seq) != list(range(1, n + 1)):
-            raise AbbreviationError("corrupt run list")
-
     def ordinal_sequence(self) -> list[int]:
-        return self._expand()
+        ords = self.base_ord
+        return [ords[v] for v in self.tour.sequence_from(self.base_order[0])]
+
+    @property
+    def runs(self) -> list[tuple[int, int]]:
+        runs: list[tuple[int, int]] = []
+        seq = self.ordinal_sequence()
+        start = prev = seq[0]
+        step = 0  # +1 or -1 once the current run has two ordinals
+        for o in seq[1:]:
+            if abs(o - prev) == 1 and step in (0, o - prev):
+                step = o - prev
+            else:
+                runs.append((start, prev))
+                start, step = o, 0
+            prev = o
+        runs.append((start, prev))
+        return runs
 
     def materialize(self) -> Tour:
-        seq = [self._vertex(o) for o in self._expand()]
-        return Tour(self.host, seq)
-
-    # ---- run surgery ----
-
-    def _locate(self, o: int) -> tuple[int, int]:
-        """(run index, offset within run) for base ordinal o."""
-        for i, (a, b) in enumerate(self.runs):
-            if a <= b:
-                if a <= o <= b:
-                    return i, o - a
-            else:
-                if b <= o <= a:
-                    return i, a - o
-        raise AbbreviationError(f"ordinal {o} missing from runs")
-
-    def _split_after(self, o: int) -> int:
-        """Ensure a boundary right after ordinal o; return index of the run
-        that ends with o."""
-        i, off = self._locate(o)
-        a, b = self.runs[i]
-        step = 1 if b >= a else -1
-        length = abs(b - a) + 1
-        if off == length - 1:
-            return i
-        self.runs[i : i + 1] = [(a, o), (o + step, b)]
-        return i
-
-    def _cut_cyclic(self, o: int) -> None:
-        """Rotate the run list so it begins right after ordinal o."""
-        i = self._split_after(o)
-        self.runs = self.runs[i + 1 :] + self.runs[: i + 1]
-
-    def _normalize(self) -> None:
-        """Rotate so the base's first vertex (ordinal 1) is first."""
-        i, off = self._locate(1)
-        a, b = self.runs[i]
-        step = 1 if b >= a else -1
-        if off > 0:
-            self.runs[i : i + 1] = [(a, 1 - step), (1, b)]
-            i += 1
-        self.runs = self.runs[i:] + self.runs[:i]
-
-    # ---- operations ----
+        return Tour(self.tour.host, self.tour.sequence_from(self.base_order[0]))
 
     def apply_move(self, m: Move) -> None:
-        perm = m.perm()
-        cuts = {self._ord(v) for v in perm}
-        for o in cuts:
-            self._split_after(o)
-        # Group the run list into chunks, each ending at a cut ordinal.
-        boundaries = [i for i, (_, b) in enumerate(self.runs) if b in cuts]
-        if len(boundaries) != len(cuts):
-            raise AbbreviationError("cut vertices not at run boundaries")
-        chunks: dict[int, list[tuple[int, int]]] = {}  # end ordinal -> runs
-        order_of_cuts: list[int] = []  # cut ordinals in current cyclic order
-        prev = boundaries[-1]
-        nrun = len(self.runs)
-        for idx in boundaries:
-            start = (prev + 1) % nrun
-            runs = []
-            k = start
-            while True:
-                runs.append(self.runs[k])
-                if k == idx:
-                    break
-                k = (k + 1) % nrun
-            end = self.runs[idx][1]
-            chunks[end] = runs
-            order_of_cuts.append(end)
-            prev = idx
-        pos_in_cycle = {o: k for k, o in enumerate(order_of_cuts)}
-        k_cuts = len(order_of_cuts)
-        ord_of = {self._ord(v): v for v in perm}
-        # Re-link: in h' = h . s the chunk after cut vertex u is the chunk
-        # that used to begin at succ(s(u)), i.e. the chunk ending at the next
-        # cut (in old cyclic order) after s(u).
-        start_cut = order_of_cuts[0]
-        seq_runs: list[tuple[int, int]] = list(chunks[start_cut])
-        cur_end = start_cut
-        for _ in range(k_cuts - 1):
-            s_of_end = self._ord(perm[ord_of[cur_end]])
-            cur_end = order_of_cuts[(pos_in_cycle[s_of_end] + 1) % k_cuts]
-            seq_runs.extend(chunks[cur_end])
-        self.runs = seq_runs
+        self.tour.apply(m)
         self.move_count += 1
-        self._normalize()
 
     def rotate(self, v: int, w: int) -> None:
-        ov, ow = self._ord(v), self._ord(w)
-        self._cut_cyclic(ov)  # list now begins at succ(v), ends at v
-        i = self._split_after(ow)
-        head = self.runs[: i + 1]
-        tail = self.runs[i + 1 :]
-        head = [(b, a) for (a, b) in reversed(head)]
-        self.runs = head + tail
+        self.tour.rotate(v, w)
         self.move_count += 1
-        self._normalize()
-
-    # ---- rendering ----
 
     def render(self) -> str:
         """Sparse printed form: ascending runs as 'a … b', descending runs as
@@ -506,5 +401,4 @@ def rebase(t: Tour) -> Abbreviation:
 
 
 def materialize(a: Abbreviation) -> Tour:
-    a._check()
     return a.materialize()

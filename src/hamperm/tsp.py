@@ -5,8 +5,8 @@ strictly less than the arcs it replaces, so every accepted step strictly
 decreases the tour weight.  tsp_solve runs a greedy good-rotation sweep
 (a 2-opt pass) to a local optimum, then repeatedly tries good admissible
 moves composed with up to one (3-cycle) or two (POTDT) follow-up rotations,
-committing a composite only when its net weight strictly improves; the
-best tour seen is kept in a BestQueue.
+committing a composite only when its net weight strictly improves.  Since
+every accepted step improves, the final tour is the best one seen.
 
 Every gain is computed from the arcs a step changes, never by re-summing
 the tour.  A candidate costs O(1) for its move's delta plus the scan for its
@@ -25,7 +25,6 @@ symmetry and a zero diagonal are validated on read.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -107,19 +106,6 @@ def write_weights(wm: WeightMatrix, path: str) -> None:
         fh.write(f"w {wm.n}\n")
         for row in wm.rows:
             fh.write(" ".join(str(x) for x in row) + "\n")
-
-
-@dataclass
-class BestQueue:
-    tour: Optional[list[int]] = None
-    weight: Optional[Weight] = None
-
-    def offer(self, tour: Sequence[int], weight: Weight) -> bool:
-        if self.weight is None or weight < self.weight:
-            self.tour = list(tour)
-            self.weight = weight
-            return True
-        return False
 
 
 def tour_weight(wm: WeightMatrix, t: Union[Tour, Sequence[int]]) -> Weight:
@@ -354,10 +340,7 @@ def tsp_solve(
     t = Tour(host, verts)
     weight = tour_weight(wm, t)
     trace: list = [("start", None, weight)]
-    best = BestQueue()
-    best.offer(t.sequence_from(1), weight)
     weight = _rotation_sweep(w, t, weight, trace)
-    best.offer(t.sequence_from(1), weight)
     for _ in range(budget):
         got = _good_composite(w, t, rng, potdt_samples=4 * n * n)
         if got is None:
@@ -366,10 +349,9 @@ def tsp_solve(
         weight += delta
         trace.append(("composite", None, weight))
         weight = _rotation_sweep(w, t, weight, trace)
-        best.offer(t.sequence_from(1), weight)
-    # Every accepted step is the last one offered, so the best tour is t.
-    # Return its weight as tour_weight sums it: an int whenever every arc
-    # weight on the tour is an int, as the running sum need not be.
+    # Every accepted step strictly improves, so the best tour is t.  Return
+    # its weight as tour_weight sums it: an int whenever every arc weight on
+    # the tour is an int, as the running sum need not be.
     final = tour_weight(wm, t)
-    assert final == weight == best.weight, "running weight drifted"
-    return best.tour, final, trace
+    assert final == weight, "running weight drifted"
+    return t.sequence_from(1), final, trace

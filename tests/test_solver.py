@@ -13,7 +13,6 @@ from hamperm.graphs import (
 )
 from hamperm.solver import (
     SolveParams,
-    initial_tour,
     solve_digraph,
     solve_graph,
     verify_circuit,
@@ -128,15 +127,6 @@ def test_chain_host_solved_through_condensation():
         u, v = rep.circuit[i], rep.circuit[(i + 1) % len(rep.circuit)]
         circuit_arcs.add((u, v) if u < v else (v, u))
     assert not (cg.deleted & circuit_arcs)
-
-
-def test_initial_tour_modes():
-    g, _ = gen_boll_graph(20, 1)
-    cgr = contract(g)
-    t = initial_tour(cgr, seed=4)
-    assert sorted(t.sequence()) == list(range(1, cgr.graph.n + 1))
-    with pytest.raises(ValueError):
-        initial_tour(cgr, seed=4, mode="bogus")
 
 
 def test_thorough_budget_expands_iterations():

@@ -8,7 +8,6 @@ import tsp_reference
 from hamperm.graphs import ParseError, complete_graph
 from hamperm.tour import InadmissibleMove, Move, Tour
 from hamperm.tsp import (
-    BestQueue,
     WeightMatrix,
     is_good_rotation,
     is_good_set,
@@ -151,14 +150,6 @@ def test_good_set_matches_weight_delta():
         t2 = t.copy()
         t2.apply(m)
         assert good == (tour_weight(wm, t2) < before)
-
-
-def test_best_queue_non_increasing():
-    q = BestQueue()
-    assert q.offer([1, 2, 3, 4], 10)
-    assert not q.offer([1, 3, 2, 4], 12)
-    assert q.offer([1, 4, 2, 3], 7)
-    assert q.weight == 7 and q.tour == [1, 4, 2, 3]
 
 
 def test_four_city_golden():

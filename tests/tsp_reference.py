@@ -8,11 +8,25 @@ its rotations, and re-summing the whole tour weight.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from hamperm.graphs import complete_graph
 from hamperm.tour import Move, Tour
-from hamperm.tsp import BestQueue, Weight, WeightMatrix, tour_weight
+from hamperm.tsp import Weight, WeightMatrix, tour_weight
+
+
+@dataclass
+class BestQueue:
+    tour: Optional[list[int]] = None
+    weight: Optional[Weight] = None
+
+    def offer(self, tour: Sequence[int], weight: Weight) -> bool:
+        if self.weight is None or weight < self.weight:
+            self.tour = list(tour)
+            self.weight = weight
+            return True
+        return False
 
 
 def is_good_rotation(wm: WeightMatrix, t: Tour, x: int, y: int) -> bool:
