@@ -11,7 +11,9 @@ Three independent ways to reason about Hamilton circuits on small hosts:
       target in at most ceil(n/2) moves without backtracking.
     * enumerate_all - breadth-wise branching on every admissible move whose
       two lead arcs land in the host; within ceil(n/2) levels this visits
-      every circuit, and must agree with brute force exactly.
+      every circuit, and must agree with brute force exactly.  Each child
+      tour is built from list slices of its parent: an admissible 3-cycle
+      is a segment exchange, an interlaced POTDT a double bridge.
 
 The constructive machinery never consults the host to make progress: the
 move built from sigma exists for purely cyclic-order reasons, so it also
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -50,13 +53,12 @@ class RegimeError(OracleError):
 
 def canonical_circuit(seq: Sequence[int], directed: bool) -> tuple[int, ...]:
     """Least rotation (and, undirected, reflection) starting at vertex 1."""
-    seq = list(seq)
+    seq = tuple(seq)
     i = seq.index(1)
-    rot = tuple(seq[i:] + seq[:i])
+    rot = seq[i:] + seq[:i]
     if directed:
         return rot
-    rev = (rot[0],) + tuple(reversed(rot[1:]))
-    return min(rot, rev)
+    return min(rot, rot[:1] + rot[:0:-1])
 
 
 def verify_circuit(g: AnyGraph, seq: Sequence[int]) -> bool:
@@ -75,32 +77,30 @@ def brute_force_circuits(g: AnyGraph) -> list[tuple[int, ...]]:
             "use the solver for larger hosts"
         )
     n = g.n
-    if n == 1:
-        return []
-    succ_of = (lambda v: g.out_adj[v]) if g.directed else (lambda v: g.adj[v])
-    pred_of = (lambda v: g.in_adj[v]) if g.directed else (lambda v: g.adj[v])
+    if n == 1 or (n == 2 and not g.directed):
+        return []  # a single edge is not a circuit
+    # depth-first over paths from vertex 1: an explicit stack of successor
+    # iterators, one per vertex on the path
+    succ = g.out_adj if g.directed else g.adj
     found: set[tuple[int, ...]] = set()
     path = [1]
     used = {1}
-
-    def extend() -> None:
-        v = path[-1]
-        if len(path) == n:
-            if 1 in succ_of(v):
-                found.add(canonical_circuit(path, g.directed))
-            return
-        for w in succ_of(v):
-            if w not in used:
-                used.add(w)
-                path.append(w)
-                extend()
-                path.pop()
-                used.discard(w)
-
-    if n >= 3 or (n == 2 and g.directed):
-        extend()
-    if n == 2 and not g.directed:
-        return []  # a single edge is not a circuit
+    stack = [iter(succ[1])]
+    while stack:
+        for w in stack[-1]:
+            if w in used:
+                continue
+            if len(path) + 1 == n:
+                if 1 in succ[w]:
+                    found.add(canonical_circuit(path + [w], g.directed))
+                continue
+            path.append(w)
+            used.add(w)
+            stack.append(iter(succ[w]))
+            break
+        else:  # the last path vertex has no successor left: backtrack
+            stack.pop()
+            used.discard(path.pop())
     return sorted(found)
 
 
@@ -310,36 +310,6 @@ def converge(
 # --------------------------------------------------------------------------
 
 
-def _splice_pairs(g: AnyGraph, order: list[int], pos: dict[int, int]):
-    """All (a, b) with b = pred(x) for a host arc (a, x): the move lead
-    positions whose created arc (a, old-succ(b)) lands in the host."""
-    n = len(order)
-    out = []
-    nbrs = (lambda v: g.out_adj[v]) if g.directed else (lambda v: g.adj[v])
-    for a in order:
-        for x in nbrs(a):
-            b = order[pos[x] - 1]  # pred(x); pos is 0-based, -1 wraps
-            if b != a:
-                out.append((a, b))
-    return out
-
-
-def _apply_mapping(order: list[int], pos: dict[int, int], mapping: dict[int, int]):
-    """New order after composing the tour with the given permutation:
-    succ'(v) = succ(mapping[v]).  Returns None if the result splits."""
-    n = len(order)
-    new = [order[0]]
-    v = order[0]
-    for _ in range(n - 1):
-        w = mapping.get(v, v)
-        v = order[(pos[w] + 1) % n]
-        new.append(v)
-    w = mapping.get(v, v)
-    if order[(pos[w] + 1) % n] != new[0] or len(set(new)) != n:
-        return None
-    return new
-
-
 def enumerate_all(
     g: AnyGraph, depth_cap: Optional[int] = None
 ) -> list[tuple[int, ...]]:
@@ -349,6 +319,13 @@ def enumerate_all(
     every admissible 3-cycle/POTDT whose lead created arcs are host arcs,
     and collect circuits within ceil(n/2) levels.  Must equal
     brute_force_circuits(g) as a set.
+
+    A lead (a, b) has b = pred(x) for a host arc (a, x).  An admissible
+    3-cycle (a b c) exchanges the segments succ(a)..b and succ(b)..c; two
+    properly interlaced leads, as chords of tour positions, make a double
+    bridge.  Either child is a concatenation of slices of the parent (four
+    for a 3-cycle, five for a double bridge), so it is always one cyclic
+    order.
     """
     n = g.n
     if n > ENUMERATE_CAP:
@@ -359,60 +336,65 @@ def enumerate_all(
         return brute_force_circuits(g)
     if depth_cap is None:
         depth_cap = math.ceil(n / 2)
+    directed = g.directed
+    adj = g.out_adj if directed else g.adj
+    nbrs = [()] + [tuple(adj[v]) for v in range(1, n + 1)]
     start = tuple(range(1, n + 1))
     seen: set[tuple[int, ...]] = set()
     results: set[tuple[int, ...]] = set()
     frontier = [start]
-    seen.add(canonical_circuit(start, g.directed))
+    seen.add(canonical_circuit(start, directed))
     if verify_circuit(g, start):
-        results.add(canonical_circuit(start, g.directed))
+        results.add(canonical_circuit(start, directed))
+    pos = [0] * (n + 1)
     for _depth in range(depth_cap):
         nxt: list[tuple[int, ...]] = []
-        for state in frontier:
-            order = list(state)
-            pos = {v: i for i, v in enumerate(order)}
-
-            def clockwise(a, b, c):
-                pa = pos[a]
-                return (pos[b] - pa) % n < (pos[c] - pa) % n
-
-            def interlace(a, c, b, d):
-                pa = pos[a]
-                qb, qc, qd = (
-                    (pos[b] - pa) % n,
-                    (pos[c] - pa) % n,
-                    (pos[d] - pa) % n,
-                )
-                return (qb < qc) != (qd < qc)
-
-            leads = _splice_pairs(g, order, pos)
-            mappings: list[dict[int, int]] = []
-            nbrs = (
-                (lambda v: g.out_adj[v]) if g.directed else (lambda v: g.adj[v])
-            )
-            for a, b in leads:
-                # 3-cycles (a b c): lead arcs land at a and b
-                for y in nbrs(b):
-                    c = order[pos[y] - 1]
-                    if c not in (a, b) and clockwise(a, b, c):
-                        mappings.append({a: b, b: c, c: a})
-            for i, (a, c) in enumerate(leads):
-                for b, d in leads[i + 1 :]:
-                    if len({a, b, c, d}) < 4:
+        for order in frontier:
+            for i, v in enumerate(order):
+                pos[v] = i
+            dbl = order + order
+            children = []
+            chords = set()
+            for pa, a in enumerate(order):
+                r = dbl[pa : pa + n]  # the tour read from a
+                for x in nbrs[a]:
+                    qb = (pos[x] - 1 - pa) % n  # b = pred(x), as offset from a
+                    if not qb:
                         continue
-                    if interlace(a, c, b, d):
-                        mappings.append({a: c, c: a, b: d, d: b})
-            for mp in mappings:
-                new = _apply_mapping(order, pos, mp)
-                if new is None:
-                    continue
-                key = canonical_circuit(new, g.directed)
+                    pb = (pa + qb) % n
+                    chords.add((pa, pb) if pa < pb else (pb, pa))
+                    for y in nbrs[r[qb]]:
+                        qc = (pos[y] - 1 - pa) % n  # c = pred(y)
+                        # a, b, c clockwise; when c -> succ(a) is a host
+                        # arc too, leads (b, c) and (c, a) find this move
+                        # as well, so only the one with the least position
+                        # of its first point keeps it
+                        if qb < qc and (pa + qc < n or r[1] not in adj[r[qc]]):
+                            children.append(
+                                r[:1] + r[qb + 1 : qc + 1] + r[1 : qb + 1] + r[qc + 1 :]
+                            )
+            chords = sorted(chords)
+            los = [lo for lo, _hi in chords]
+            for l1, h1 in chords:
+                # chords properly interlacing (l1, h1): l1 < l2 < h1 < h2
+                start2 = bisect_right(los, l1)
+                for l2, h2 in chords[start2 : bisect_left(los, h1, start2)]:
+                    if h2 > h1:
+                        children.append(
+                            order[l1 : l1 + 1]
+                            + dbl[h1 + 1 : h2 + 1]
+                            + order[l2 + 1 : h1 + 1]
+                            + order[l1 + 1 : l2 + 1]
+                            + dbl[h2 + 1 : l1 + n]
+                        )
+            for child in children:
+                key = canonical_circuit(child, directed)
                 if key in seen:
                     continue
                 seen.add(key)
-                if verify_circuit(g, new):
+                if verify_circuit(g, child):
                     results.add(key)
-                nxt.append(tuple(new))
+                nxt.append(child)
         frontier = nxt
         if not frontier:
             break

@@ -142,6 +142,33 @@ def test_oracle_enumerate_k4(tmp_path, capsys):
     assert json.loads(stdout)["metrics"]["count"] == 3
 
 
+ORACLE_FILES = {
+    # a digraph on 6 vertices with two directed Hamilton circuits
+    "digraph": (
+        "d 6 14\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 3\n3 5\n5 1\n"
+        "2 6\n6 4\n4 2\n3 1\n6 5\n",
+        [[1, 2, 3, 4, 5, 6], [1, 3, 4, 2, 6, 5]],
+    ),
+    # K2,3: bipartite with unequal sides, so no Hamilton circuit
+    "k23": ("g 5 6\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n", []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FILES))
+def test_oracle_modes_agree(tmp_path, capsys, name):
+    text, want = ORACLE_FILES[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    for mode in ("enumerate", "brute"):
+        code, stdout, _ = run(
+            capsys, ["oracle", str(path), "--mode", mode, "--format", "json"]
+        )
+        assert code == 0
+        metrics = json.loads(stdout)["metrics"]
+        assert metrics["circuits"] == want
+        assert metrics["count"] == len(want)
+
+
 def test_oracle_cap_is_an_error(tmp_path, capsys):
     path = tmp_path / "big.txt"
     g = Graph(14, [(v, v % 14 + 1) for v in range(1, 15)])

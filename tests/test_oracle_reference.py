@@ -1,0 +1,144 @@
+"""The slice-built enumeration and the stack-based brute force against their
+references.
+
+tests/oracle_reference.py holds enumerate_all, canonical_circuit and
+brute_force_circuits as they were before: children rebuilt by walking the
+tour through each move's mapping, and a recursive brute force.  The current
+functions must return exactly the same lists.  enumerate_all is compared at
+every depth cap from 0 to 2 as well as in full, on its circuits and on the
+set of states it visits, so the level sets are pinned and not only the
+final circuit set.
+"""
+
+import random
+
+import pytest
+
+import oracle_reference as ref
+from hamperm import oracle
+from hamperm.graphs import (
+    Digraph,
+    Graph,
+    complete_digraph,
+    complete_graph,
+    cycle_graph,
+)
+from hamperm.oracle import brute_force_circuits, canonical_circuit, enumerate_all
+
+DEPTH_CAPS = (None, 0, 1, 2)
+
+
+def _random_graph(rng, n, density):
+    return Graph(
+        n,
+        [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if rng.random() < density
+        ],
+    )
+
+
+def _random_digraph(rng, n, density):
+    return Digraph(
+        n,
+        [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(1, n + 1)
+            if u != v and rng.random() < density
+        ],
+    )
+
+
+def _enumeration_hosts():
+    """(name, host): 140 undirected graphs with n 3-8 and densities spread
+    from 0.2 up to 0.9 (the reference needs seconds per graph at n=8 above
+    density 0.5, so those stay sparser) and three at n=9 with 9-11 edges,
+    60 digraphs with n 3-7, and complete, cycle and K3,4 hosts."""
+    rng = random.Random(2024)
+    hosts = []
+    for n, count, top in ((3, 15, 0.9), (4, 20, 0.9), (5, 30, 0.9), (6, 30, 0.9),
+                          (7, 25, 0.8), (8, 20, 0.5)):
+        for k in range(count):
+            density = 0.2 + (top - 0.2) * k / (count - 1)
+            hosts.append((f"g{n}-{k}", _random_graph(rng, n, density)))
+    pairs9 = [(u, v) for u in range(1, 10) for v in range(u + 1, 10)]
+    for m in (9, 10, 11):
+        hosts.append((f"g9-{m}", Graph(9, rng.sample(pairs9, m))))
+    for n, count in ((3, 10), (4, 12), (5, 14), (6, 14), (7, 10)):
+        for k in range(count):
+            density = 0.25 + 0.6 * k / (count - 1)
+            hosts.append((f"d{n}-{k}", _random_digraph(rng, n, density)))
+    for n in range(3, 8):
+        hosts.append((f"K{n}", complete_graph(n)))
+    for n in range(3, 10):
+        hosts.append((f"C{n}", cycle_graph(n)))
+    hosts.append(("K3,4", Graph(7, [(u, v) for u in range(1, 4) for v in range(4, 8)])))
+    return hosts
+
+
+HOSTS = _enumeration_hosts()
+
+
+def _run_recording_states(module, g, depth_cap, monkeypatch):
+    """module.enumerate_all(g, depth_cap) and the canonical forms of the
+    states it visited: it calls verify_circuit once per newly seen state."""
+    states = []
+    verify = module.verify_circuit
+
+    def recording(host, seq):
+        states.append(ref.canonical_circuit(seq, host.directed))
+        return verify(host, seq)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "verify_circuit", recording)
+        got = module.enumerate_all(g, depth_cap)
+    return got, sorted(states)
+
+
+@pytest.mark.parametrize("depth_cap", DEPTH_CAPS)
+def test_enumerate_all_matches_reference(depth_cap, monkeypatch):
+    for name, g in HOSTS:
+        got, states = _run_recording_states(oracle, g, depth_cap, monkeypatch)
+        want, want_states = _run_recording_states(ref, g, depth_cap, monkeypatch)
+        assert got == want, (name, depth_cap)
+        assert states == want_states, (name, depth_cap)
+        if depth_cap is None:
+            assert got == brute_force_circuits(g), name
+
+
+def test_canonical_circuit_matches_reference():
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        seq = list(range(1, n + 1))
+        rng.shuffle(seq)
+        for directed in (True, False):
+            assert canonical_circuit(seq, directed) == ref.canonical_circuit(
+                seq, directed
+            )
+            assert canonical_circuit(tuple(seq), directed) == ref.canonical_circuit(
+                seq, directed
+            )
+
+
+def test_brute_force_matches_reference():
+    rng = random.Random(9)
+    for seed in range(240):
+        n = 1 + seed % 10
+        density = rng.uniform(0.2, 0.95 if n <= 8 else 0.5)
+        if seed % 2:
+            g = _random_digraph(rng, n, density * (0.6 if n >= 9 else 1))
+        else:
+            g = _random_graph(rng, n, density)
+        assert brute_force_circuits(g) == ref.brute_force_circuits(g), seed
+
+
+def test_brute_force_tiny_hosts():
+    for n in (1, 2):
+        for g in (complete_graph(n), complete_digraph(n)):
+            assert brute_force_circuits(g) == ref.brute_force_circuits(g)
+    assert brute_force_circuits(complete_digraph(2)) == [(1, 2)]
+    assert brute_force_circuits(Digraph(2, [(1, 2)])) == []
