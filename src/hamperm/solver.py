@@ -38,7 +38,7 @@ from typing import Optional
 from .contract import ContractError, _reduce_digraph, _reduce_graph
 from .graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
 from .oracle import verify_circuit
-from .tour import Move, Tour, diff_score, passes_pseudo_filter
+from .tour import Move, Tour
 
 
 @dataclass
@@ -105,34 +105,78 @@ def _sorted_neighbors(h: AnyGraph) -> tuple[dict, dict]:
     return out, out
 
 
+def _cycle3(order, pos, pseudo, adj, a, b, c):
+    """The candidate (key, (a, b, c), DIFF) of the 3-cycle (a b c), or None
+    unless it is admissible (a, b, c clockwise) and passes the pseudo filter
+    (at most one of its created arcs a -> succ(b), b -> succ(c),
+    c -> succ(a) is off the host).  key equals the Move's canonical_key()."""
+    n = len(order)
+    pa, pb, pc = pos[a], pos[b], pos[c]
+    if (pb - pa) % n >= (pc - pa) % n:
+        return None
+    host = (
+        (order[pb + 1 - n] in adj[a])
+        + (order[pc + 1 - n] in adj[b])
+        + (order[pa + 1 - n] in adj[c])
+    )
+    if host < 2:
+        return None
+    diff = host - (a not in pseudo) - (b not in pseudo) - (c not in pseudo)
+    if a < b and a < c:
+        key = (a, b, c)
+    elif b < c:
+        key = (b, c, a)
+    else:
+        key = (c, a, b)
+    return ("cycle3", key), (a, b, c), diff
+
+
+def _potdt(order, pos, pseudo, adj, a, c, b, d):
+    """The candidate (key, (a, c, b, d), DIFF) of the POTDT (a c)(b d), or
+    None unless it is admissible (chords [a,c] and [b,d] interlace) and
+    passes the pseudo filter (at most one of a -> succ(c), c -> succ(a),
+    b -> succ(d), d -> succ(b) is off the host).  key equals the Move's
+    canonical_key()."""
+    n = len(order)
+    pa, pc, pb, pd = pos[a], pos[c], pos[b], pos[d]
+    qc = (pc - pa) % n
+    if ((pb - pa) % n < qc) == ((pd - pa) % n < qc):
+        return None
+    sa, sc = order[pa + 1 - n], order[pc + 1 - n]
+    sb, sd = order[pb + 1 - n], order[pd + 1 - n]
+    host = (sc in adj[a]) + (sa in adj[c]) + (sd in adj[b]) + (sb in adj[d])
+    if host < 3:
+        return None
+    diff = host - (
+        (a not in pseudo) + (c not in pseudo) + (b not in pseudo) + (d not in pseudo)
+    )
+    p1 = (a, c) if a < c else (c, a)
+    p2 = (b, d) if b < d else (d, b)
+    key = ("potdt", p1, p2) if p1 < p2 else ("potdt", p2, p1)
+    return key, (a, c, b, d), diff
+
+
 def _candidates(
     t: Tour,
     a: int,
     pseudos: list[int],
+    adj: dict,
     nbrs: tuple[dict, dict],
     rng: random.Random,
     rp: ResolvedParams,
-) -> list[Move]:
-    """Admissible, filter-passing candidate moves anchored at pseudo-arc
-    vertex a (an element of the sorted list pseudos), built from sampled
-    host edges."""
+) -> list[tuple]:
+    """Admissible, filter-passing candidates (key, verts, DIFF) anchored at
+    pseudo-arc vertex a (an element of the sorted list pseudos), built from
+    sampled host edges; adj maps each vertex to its host out-neighbour set.
+    At most test_cap candidates are tested, and candidates with the same
+    key are kept once."""
+    order, pos, pseudo = t.order, t.pos, t.pseudo
     out_nbrs, in_nbrs = nbrs
-    ha = t.succ(a)
+    n = len(order)
+    ha = order[pos[a] + 1 - n]
+    cap = rp.test_cap
     tests = 0
-    out: list[Move] = []
-    seen_keys: set = set()
-
-    def consider(m: Move) -> None:
-        nonlocal tests
-        if tests >= rp.test_cap:
-            return
-        tests += 1
-        key = m.canonical_key()
-        if key in seen_keys:
-            return
-        if t.admissible(m) and passes_pseudo_filter(t, m):
-            seen_keys.add(key)
-            out.append(m)
+    found: dict = {}
 
     def sample(pool: list[int]) -> list[int]:
         k = min(rp.edge_cap, len(pool))
@@ -140,34 +184,45 @@ def _candidates(
 
     # splice points b: the created arc (a, x) is a host arc by construction
     xs = [x for x in out_nbrs[a] if x != ha and x != a]
-    bs: list[tuple[int, int]] = []
+    bs: list[int] = []
     for x in sample(xs):
-        b = t.pred(x)
+        b = order[pos[x] - 1]
         if b != a:
-            bs.append((b, x))
-    for b, _x in bs:
+            bs.append(b)
+    for b in bs:
         # second edge at b: 3-cycle (a b c) also creates host arc (b, y)
-        ys = [y for y in out_nbrs[b] if y not in (a, b)]
+        ys = [y for y in out_nbrs[b] if y != a and y != b]
         for y in sample(ys):
-            c = t.pred(y)
-            if c not in (a, b):
-                consider(Move.cycle3(a, b, c))
+            c = order[pos[y] - 1]
+            if c != a and c != b and tests < cap:
+                tests += 1
+                cand = _cycle3(order, pos, pseudo, adj, a, b, c)
+                if cand is not None:
+                    found.setdefault(cand[0], cand)
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
-        zs = [z for z in in_nbrs[ha] if z not in (a, b, ha)]
+        zs = [z for z in in_nbrs[ha] if z != a and z != b and z != ha]
         for y in sample(zs):
-            consider(Move.cycle3(a, b, y))
+            if tests < cap:
+                tests += 1
+                cand = _cycle3(order, pos, pseudo, adj, a, b, y)
+                if cand is not None:
+                    found.setdefault(cand[0], cand)
     # POTDTs seeded from a second pseudo-arc vertex, drawn uniformly from
     # pseudos without a (the same draw as rng.choice on that list)
     if len(pseudos) > 1 and bs:
         i = rng.choice(range(len(pseudos) - 1))
         v2 = pseudos[i if i < bisect_left(pseudos, a) else i + 1]
-        ws = [w for w in out_nbrs[v2] if w != t.succ(v2) and w != v2]
+        s2 = order[pos[v2] + 1 - n]
+        ws = [w for w in out_nbrs[v2] if w != s2 and w != v2]
         for w in sample(ws):
-            d = t.pred(w)
-            for b, _x in bs:
-                if len({a, b, v2, d}) == 4:
-                    consider(Move.potdt(a, b, v2, d))
-    return out
+            d = order[pos[w] - 1]
+            for b in bs:
+                if b != v2 and d != a and d != b and d != v2 and tests < cap:
+                    tests += 1
+                    cand = _potdt(order, pos, pseudo, adj, a, b, v2, d)
+                    if cand is not None:
+                        found.setdefault(cand[0], cand)
+    return list(found.values())
 
 
 def _pick_rotation(
@@ -194,6 +249,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         return SolveReport("timeout", detail="no circuit on 2 vertices")
     rng = random.Random(rp.seed)
     nbrs = _sorted_neighbors(h)
+    adj = h.out_adj if h.directed else h.adj
     t = Tour(h, _shuffled(n, rng))
     backtrack: deque[Move] = deque()
     rep = SolveReport("timeout")
@@ -203,7 +259,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     since_improve = 0
     stall_limit = max(30, 2 * n)
     while rep.iterations < rp.budget:
-        pseudos = sorted(t.pseudo_vertices())
+        pseudos = sorted(t.pseudo)
         if not pseudos:
             break
         if h.directed and since_improve >= stall_limit:
@@ -215,30 +271,25 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         rep.iterations += 1
         before = len(pseudos)
         a = rng.choice(pseudos)
-        cands = _candidates(t, a, pseudos, nbrs, rng, rp)
-        recent = backtrack[0] if backtrack else None
+        cands = _candidates(t, a, pseudos, adj, nbrs, rng, rp)
+        recent = backtrack[0].canonical_key() if backtrack else None
         applied: Optional[Move] = None
-        if h.directed and recent is not None and len(cands) == 1 and (
-            cands[0].canonical_key() == recent.canonical_key()
-        ):
+        if h.directed and len(cands) == 1 and cands[0][0] == recent:
             # the only way forward undoes the last move: take it as an
             # explicit backtrack step
             backtrack.popleft()
-            t.apply(cands[0])
+            key, verts, _diff = cands[0]
+            applied = Move(key[0], verts)
+            t.apply(applied)
             rep.backtracks += 1
-            applied = cands[0]
         else:
             if recent is not None:
-                cands = [
-                    m
-                    for m in cands
-                    if m.canonical_key() != recent.canonical_key()
-                ]
+                cands = [cand for cand in cands if cand[0] != recent]
             if cands:
-                diffs = [diff_score(t, m) for m in cands]
                 jitter = [rng.random() for _ in cands]
-                best = max(range(len(cands)), key=lambda i: (diffs[i], jitter[i]))
-                applied = cands[best]
+                best = max(range(len(cands)), key=lambda i: (cands[i][2], jitter[i]))
+                key, verts, _diff = cands[best]
+                applied = Move(key[0], verts)
                 t.apply(applied)
                 backtrack.appendleft(applied.inverse())
                 rep.successes += 1
@@ -254,18 +305,18 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
                 t.rotate(*rot)
             elif applied is None and not cands:
                 rep.detail = "stuck: no off-tour host edge at any pseudo-arc vertex"
-                rep.pseudo_trajectory.append(len(t.pseudo_vertices()))
+                rep.pseudo_trajectory.append(len(t.pseudo))
                 break
-            after = len(t.pseudo_vertices())
+            after = len(t.pseudo)
             assert after <= before, "pseudo count increased in graph mode"
-        cur = len(t.pseudo_vertices())
+        cur = len(t.pseudo)
         if cur < best_pseudo:
             best_pseudo = cur
             since_improve = 0
         else:
             since_improve += 1
         rep.pseudo_trajectory.append(cur)
-    rep.final_pseudo = len(t.pseudo_vertices())
+    rep.final_pseudo = len(t.pseudo)
     if rep.final_pseudo == 0:
         rep.outcome = "circuit"
         rep.circuit = t.sequence_from(1)
