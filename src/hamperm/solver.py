@@ -14,11 +14,14 @@ convert pseudo-arcs (tour arcs absent from the host) into host arcs:
       unavailable, escapes dead ends by undoing moves from a double-ended
       BACKTRACK queue of inverses.
 
-An iteration sorts the pseudo-arc vertices and, in graph mode, shuffles
-them to pick a rotation; its other Python-level work is bounded by the
-sampled candidates.  The sorted neighbour lists are built once per solve,
-and a move or rotation costs a few C-level list slices on the array Tour
-plus O(1) host lookups.  The solver keeps no abbreviation of the tour
+An iteration's Python-level work is bounded by the sampled candidates.
+Pseudo-arc vertices (the anchor, the POTDT partner, the rotation's pivot)
+are drawn by membership tests against the pseudo set, with a sorted pass
+only when 8 uniform draws miss.  Each candidate is a (key, vertices, DIFF)
+tuple scored from tour positions and the 3-4 arcs it creates; only the
+applied one becomes a Move.  The sorted neighbour lists are built once per
+solve, and a move or rotation costs a few C-level list slices on the array
+Tour plus O(1) host lookups.  The solver keeps no abbreviation of the tour
 (tour.Abbreviation is the paper's run notation, for goldens and rendering).
 
 Degree-2 chains are contracted away first (see contract); a circuit found
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -159,17 +161,15 @@ def _potdt(order, pos, pseudo, adj, a, c, b, d):
 def _candidates(
     t: Tour,
     a: int,
-    pseudos: list[int],
     adj: dict,
     nbrs: tuple[dict, dict],
     rng: random.Random,
     rp: ResolvedParams,
 ) -> list[tuple]:
     """Admissible, filter-passing candidates (key, verts, DIFF) anchored at
-    pseudo-arc vertex a (an element of the sorted list pseudos), built from
-    sampled host edges; adj maps each vertex to its host out-neighbour set.
-    At most test_cap candidates are tested, and candidates with the same
-    key are kept once."""
+    pseudo-arc vertex a, built from sampled host edges (adj maps a vertex
+    to its host out-neighbour set).  At most test_cap candidates are
+    tested; of candidates with equal keys the first is kept."""
     order, pos, pseudo = t.order, t.pos, t.pseudo
     out_nbrs, in_nbrs = nbrs
     n = len(order)
@@ -177,6 +177,14 @@ def _candidates(
     cap = rp.test_cap
     tests = 0
     found: dict = {}
+
+    def consider(score, *verts) -> None:
+        nonlocal tests
+        if tests < cap:
+            tests += 1
+            cand = score(order, pos, pseudo, adj, a, *verts)
+            if cand is not None:
+                found.setdefault(cand[0], cand)
 
     def sample(pool: list[int]) -> list[int]:
         k = min(rp.edge_cap, len(pool))
@@ -194,46 +202,67 @@ def _candidates(
         ys = [y for y in out_nbrs[b] if y != a and y != b]
         for y in sample(ys):
             c = order[pos[y] - 1]
-            if c != a and c != b and tests < cap:
-                tests += 1
-                cand = _cycle3(order, pos, pseudo, adj, a, b, c)
-                if cand is not None:
-                    found.setdefault(cand[0], cand)
+            if c != a and c != b:
+                consider(_cycle3, b, c)
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
         zs = [z for z in in_nbrs[ha] if z != a and z != b and z != ha]
         for y in sample(zs):
-            if tests < cap:
-                tests += 1
-                cand = _cycle3(order, pos, pseudo, adj, a, b, y)
-                if cand is not None:
-                    found.setdefault(cand[0], cand)
-    # POTDTs seeded from a second pseudo-arc vertex, drawn uniformly from
-    # pseudos without a (the same draw as rng.choice on that list)
-    if len(pseudos) > 1 and bs:
-        i = rng.choice(range(len(pseudos) - 1))
-        v2 = pseudos[i if i < bisect_left(pseudos, a) else i + 1]
+            consider(_cycle3, b, y)
+    # POTDTs seeded from a second pseudo-arc vertex
+    if len(pseudo) > 1 and bs:
+        v2 = _draw_pseudo(t, rng, a)
         s2 = order[pos[v2] + 1 - n]
         ws = [w for w in out_nbrs[v2] if w != s2 and w != v2]
         for w in sample(ws):
             d = order[pos[w] - 1]
             for b in bs:
-                if b != v2 and d != a and d != b and d != v2 and tests < cap:
-                    tests += 1
-                    cand = _potdt(order, pos, pseudo, adj, a, b, v2, d)
-                    if cand is not None:
-                        found.setdefault(cand[0], cand)
+                if b != v2 and d != a and d != b and d != v2:
+                    consider(_potdt, b, v2, d)
     return list(found.values())
+
+
+def _draw_pseudo(t: Tour, rng: random.Random, exclude: int = 0) -> int:
+    """A pseudo-arc vertex other than exclude, uniformly at random.
+
+    Up to 8 uniform draws over all n vertices, keeping the first that is a
+    pseudo-arc vertex other than exclude; if none is, an index into the
+    sorted remaining pseudo-arc vertices.  Each step is uniform over the
+    same set, so the mixture is too.  At least one such vertex must exist.
+    """
+    pseudo = t.pseudo
+    n = len(t.order)
+    for _ in range(8):
+        v = rng.randrange(n) + 1
+        if v in pseudo and v != exclude:
+            return v
+    pool = sorted(pseudo - {exclude})
+    return pool[rng.randrange(len(pool))]
 
 
 def _pick_rotation(
     t: Tour, nbrs: dict, rng: random.Random
 ) -> Optional[tuple[int, int]]:
     """A rotation (v, w) anchored at a pseudo-arc vertex v along an off-tour
-    host edge [v, w]; such a rotation never increases |PSEUDO|."""
-    pseudos = sorted(t.pseudo_vertices())
-    rng.shuffle(pseudos)
-    for v in pseudos:
-        ws = [w for w in nbrs[v] if w not in (v, t.succ(v), t.pred(v))]
+    host edge [v, w]; such a rotation never increases |PSEUDO|.
+
+    v is uniform over the pseudo-arc vertices that have such an edge: up to
+    8 draws of _draw_pseudo keep the first that does, and a scan of the
+    shuffled pseudo-arc vertices decides otherwise (None if none has one).
+    w is uniform over v's off-tour host neighbours.
+    """
+    if not t.pseudo:
+        return None
+
+    def tries():
+        for _ in range(8):
+            yield _draw_pseudo(t, rng)
+        pseudos = sorted(t.pseudo)
+        rng.shuffle(pseudos)
+        yield from pseudos
+
+    for v in tries():
+        near = (v, t.succ(v), t.pred(v))
+        ws = [w for w in nbrs[v] if w not in near]
         if ws:
             return v, rng.choice(ws)
     return None
@@ -259,8 +288,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     since_improve = 0
     stall_limit = max(30, 2 * n)
     while rep.iterations < rp.budget:
-        pseudos = sorted(t.pseudo)
-        if not pseudos:
+        if not t.pseudo:
             break
         if h.directed and since_improve >= stall_limit:
             t = Tour(h, _shuffled(n, rng))
@@ -269,9 +297,9 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             since_improve = 0
             continue
         rep.iterations += 1
-        before = len(pseudos)
-        a = rng.choice(pseudos)
-        cands = _candidates(t, a, pseudos, adj, nbrs, rng, rp)
+        before = len(t.pseudo)
+        a = _draw_pseudo(t, rng)
+        cands = _candidates(t, a, adj, nbrs, rng, rp)
         recent = backtrack[0].canonical_key() if backtrack else None
         applied: Optional[Move] = None
         if h.directed and len(cands) == 1 and cands[0][0] == recent:

@@ -6,6 +6,13 @@ per-call sorted neighbour lists, the O(k^2) containment counts and the
 Abbreviation mirror.  tests/test_solver_reference.py checks the current
 Tour and solver against these on seeded inputs; nothing in src/ imports
 this module.
+
+The one departure from the earlier code is where pseudo-arc vertices are
+drawn: the anchor, the POTDT partner and the rotation pick use
+_draw_pseudo, a verbatim copy of hamperm.solver._draw_pseudo (it reads only
+membership in t.pseudo and n), so the reference follows the solver's draw
+order.  Everything else, the Move objects, canonical keys, overlays and
+diff_score included, is the earlier code.
 """
 
 from __future__ import annotations
@@ -281,6 +288,24 @@ def _host_neighbors(h: AnyGraph, v: int, incoming: bool = False) -> list[int]:
     return sorted(h.adj[v])
 
 
+def _draw_pseudo(t: Tour, rng: random.Random, exclude: int = 0) -> int:
+    """A pseudo-arc vertex other than exclude, uniformly at random.
+
+    Up to 8 uniform draws over all n vertices, keeping the first that is a
+    pseudo-arc vertex other than exclude; if none is, an index into the
+    sorted remaining pseudo-arc vertices.  Each step is uniform over the
+    same set, so the mixture is too.  At least one such vertex must exist.
+    """
+    pseudo = t.pseudo
+    n = len(t.order)
+    for _ in range(8):
+        v = rng.randrange(n) + 1
+        if v in pseudo and v != exclude:
+            return v
+    pool = sorted(pseudo - {exclude})
+    return pool[rng.randrange(len(pool))]
+
+
 def _candidates(
     h: AnyGraph, t: Tour, a: int, rng: random.Random, rp: ResolvedParams
 ) -> list[Move]:
@@ -330,9 +355,8 @@ def _candidates(
         for y in sample(zs):
             consider(Move.cycle3(a, b, y))
     # POTDTs seeded from a second pseudo-arc vertex
-    others = [v for v in sorted(t.pseudo_vertices()) if v != a]
-    if others and bs:
-        v2 = rng.choice(others)
+    if len(t.pseudo) > 1 and bs:
+        v2 = _draw_pseudo(t, rng, a)
         ws = [w for w in _host_neighbors(h, v2) if w != t.succ(v2) and w != v2]
         for w in sample(ws):
             d = t.pred(w)
@@ -355,6 +379,17 @@ def _pick_rotation(
 ) -> Optional[tuple[int, int]]:
     """A rotation (v, w) anchored at a pseudo-arc vertex v along an off-tour
     host edge [v, w]; such a rotation never increases |PSEUDO|."""
+    if not t.pseudo:
+        return None
+    for _ in range(8):
+        v = _draw_pseudo(t, rng)
+        ws = [
+            w
+            for w in _host_neighbors(h, v)
+            if w not in (v, t.succ(v), t.pred(v))
+        ]
+        if ws:
+            return v, rng.choice(ws)
     pseudos = sorted(t.pseudo_vertices())
     rng.shuffle(pseudos)
     for v in pseudos:
@@ -399,7 +434,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             continue
         rep.iterations += 1
         before = len(pseudos)
-        a = rng.choice(pseudos)
+        a = _draw_pseudo(t, rng)
         cands = _candidates(h, t, a, rng, rp)
         recent = backtrack[0] if backtrack else None
         applied: Optional[Move] = None
