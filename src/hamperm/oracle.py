@@ -11,9 +11,12 @@ Three independent ways to reason about Hamilton circuits on small hosts:
       target in at most ceil(n/2) moves without backtracking.
     * enumerate_all - breadth-wise branching on every admissible move whose
       two lead arcs land in the host; within ceil(n/2) levels this visits
-      every circuit, and must agree with brute force exactly.  Each child
-      tour is built from list slices of its parent: an admissible 3-cycle
-      is a segment exchange, an interlaced POTDT a double bridge.
+      every circuit, and must agree with brute force exactly.  States are
+      keyed by their arc sets, one int each, and a child's key is its
+      parent's with the 6 or 8 changed arcs toggled, so a child already
+      seen is never built; a new one is built from list slices of its
+      parent: an admissible 3-cycle is a segment exchange, an interlaced
+      POTDT a double bridge.
 
 The constructive machinery never consults the host to make progress: the
 move built from sigma exists for purely cyclic-order reasons, so it also
@@ -52,13 +55,16 @@ class RegimeError(OracleError):
 
 
 def canonical_circuit(seq: Sequence[int], directed: bool) -> tuple[int, ...]:
-    """Least rotation (and, undirected, reflection) starting at vertex 1."""
+    """Least rotation (and, undirected, reflection) starting at vertex 1.
+
+    Undirected, the circuit is read in the direction whose second vertex is
+    the smaller, which is the least of the two reflections."""
     seq = tuple(seq)
     i = seq.index(1)
     rot = seq[i:] + seq[:i]
-    if directed:
+    if directed or len(rot) <= 2 or rot[1] < rot[-1]:
         return rot
-    return min(rot, rot[:1] + rot[:0:-1])
+    return rot[:1] + rot[:0:-1]
 
 
 def verify_circuit(g: AnyGraph, seq: Sequence[int]) -> bool:
@@ -310,6 +316,111 @@ def converge(
 # --------------------------------------------------------------------------
 
 
+def _arc_bits(n: int, directed: bool) -> list[list[int]]:
+    """bit[u][v] = 1 << k: one bit per ordered pair of 1..n for a digraph,
+    one per unordered pair (bit[u][v] == bit[v][u]) for a graph."""
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    k = 0
+    for u in range(1, n + 1):
+        for v in range(1 if directed else u + 1, n + 1):
+            if u != v:
+                bit[u][v] = 1 << k
+                k += 1
+                if not directed:
+                    bit[v][u] = bit[u][v]
+    return bit
+
+
+def _arc_key(bit: list[list[int]], seq: Sequence[int]) -> int:
+    """The arc set of the cyclic sequence seq as one int.  Two Hamilton
+    circuits have the same key exactly when canonical_circuit agrees."""
+    key = 0
+    for u, v in zip(seq, seq[1:] + seq[:1]):
+        key |= bit[u][v]
+    return key
+
+
+def _branch(
+    order: tuple[int, ...],
+    key: int,
+    nbrs: list[tuple[int, ...]],
+    adj: dict[int, set[int]],
+    bit: list[list[int]],
+    seen: set[int],
+) -> list[tuple[tuple[int, ...], int]]:
+    """The children of one enumeration state whose arc-set keys are not in
+    seen, as (tour, key) pairs in discovery order: 3-cycles, then double
+    bridges.  Each new key is added to seen.
+
+    A child's key is the parent's with the removed and created arcs toggled
+    (3 and 3 for a 3-cycle, 4 and 4 for a double bridge).  Parent and child
+    are both n-cycles, so an arc that is removed and created again toggles
+    twice and stays.  Only a child whose key is new is built.
+    """
+    n = len(order)
+    dbl = order + order
+    pos = [0] * (n + 1)
+    outb = [0] * (n + 1)  # outb[v]: the bit of the tour arc leaving v
+    for i, v in enumerate(order):
+        pos[v] = i
+        outb[v] = bit[v][dbl[i + 1]]
+    new = []
+    chords = {}
+    for pa, a in enumerate(order):
+        r = dbl[pa : pa + n]  # the tour read from a
+        r1 = r[1]
+        bit_a = bit[a]
+        key_a = key ^ outb[a]
+        for x in nbrs[a]:
+            qb = (pos[x] - 1 - pa) % n  # b = pred(x), as offset from a
+            if not qb:
+                continue
+            pb = (pa + qb) % n
+            b = r[qb]
+            bit_b = bit[b]
+            key_ab = key_a ^ outb[b] ^ bit_a[x]
+            # chord -> the parent's key with half a double bridge applied:
+            # the arcs leaving a and b swapped for (a, x) and (b, succ(a))
+            chords[(pa, pb) if pa < pb else (pb, pa)] = key_ab ^ bit_b[r1]
+            for y in nbrs[b]:
+                qc = (pos[y] - 1 - pa) % n  # c = pred(y)
+                # a, b, c clockwise; when c -> succ(a) is a host arc too,
+                # leads (b, c) and (c, a) find this move as well, so only
+                # the one with the least position of its first point
+                # keeps it
+                if qb < qc:
+                    c = r[qc]
+                    if pa + qc < n or r1 not in adj[c]:
+                        k = key_ab ^ outb[c] ^ bit_b[y] ^ bit[c][r1]
+                        if k not in seen:
+                            seen.add(k)
+                            new.append(
+                                (r[:1] + r[qb + 1 : qc + 1] + r[1 : qb + 1] + r[qc + 1 :], k)
+                            )
+    chords = sorted(chords.items())
+    los = [lo for (lo, _hi), _half in chords]
+    for (l1, h1), half in chords:
+        key_1 = half ^ key
+        # chords properly interlacing (l1, h1): l1 < l2 < h1 < h2
+        start2 = bisect_right(los, l1)
+        for (l2, h2), half2 in chords[start2 : bisect_left(los, h1, start2)]:
+            if h2 > h1:
+                k = key_1 ^ half2
+                if k not in seen:
+                    seen.add(k)
+                    new.append(
+                        (
+                            order[l1 : l1 + 1]
+                            + dbl[h1 + 1 : h2 + 1]
+                            + order[l2 + 1 : h1 + 1]
+                            + order[l1 + 1 : l2 + 1]
+                            + dbl[h2 + 1 : l1 + n],
+                            k,
+                        )
+                    )
+    return new
+
+
 def enumerate_all(
     g: AnyGraph, depth_cap: Optional[int] = None
 ) -> list[tuple[int, ...]]:
@@ -326,6 +437,12 @@ def enumerate_all(
     bridge.  Either child is a concatenation of slices of the parent (four
     for a 3-cycle, five for a double bridge), so it is always one cyclic
     order.
+
+    A state is keyed by its arc set (_arc_key), which is exactly its
+    circuit up to rotation (and reflection, undirected), and a child's key
+    is its parent's with the changed arcs toggled.  So "seen?" is decided
+    before a child is built: only new states are sliced, verified once,
+    canonicalized (if circuits) and branched on at the next level.
     """
     n = g.n
     if n > ENUMERATE_CAP:
@@ -339,62 +456,21 @@ def enumerate_all(
     directed = g.directed
     adj = g.out_adj if directed else g.adj
     nbrs = [()] + [tuple(adj[v]) for v in range(1, n + 1)]
+    bit = _arc_bits(n, directed)
     start = tuple(range(1, n + 1))
-    seen: set[tuple[int, ...]] = set()
+    key = _arc_key(bit, start)
+    seen = {key}
     results: set[tuple[int, ...]] = set()
-    frontier = [start]
-    seen.add(canonical_circuit(start, directed))
     if verify_circuit(g, start):
         results.add(canonical_circuit(start, directed))
-    pos = [0] * (n + 1)
+    frontier = [(start, key)]
     for _depth in range(depth_cap):
-        nxt: list[tuple[int, ...]] = []
-        for order in frontier:
-            for i, v in enumerate(order):
-                pos[v] = i
-            dbl = order + order
-            children = []
-            chords = set()
-            for pa, a in enumerate(order):
-                r = dbl[pa : pa + n]  # the tour read from a
-                for x in nbrs[a]:
-                    qb = (pos[x] - 1 - pa) % n  # b = pred(x), as offset from a
-                    if not qb:
-                        continue
-                    pb = (pa + qb) % n
-                    chords.add((pa, pb) if pa < pb else (pb, pa))
-                    for y in nbrs[r[qb]]:
-                        qc = (pos[y] - 1 - pa) % n  # c = pred(y)
-                        # a, b, c clockwise; when c -> succ(a) is a host
-                        # arc too, leads (b, c) and (c, a) find this move
-                        # as well, so only the one with the least position
-                        # of its first point keeps it
-                        if qb < qc and (pa + qc < n or r[1] not in adj[r[qc]]):
-                            children.append(
-                                r[:1] + r[qb + 1 : qc + 1] + r[1 : qb + 1] + r[qc + 1 :]
-                            )
-            chords = sorted(chords)
-            los = [lo for lo, _hi in chords]
-            for l1, h1 in chords:
-                # chords properly interlacing (l1, h1): l1 < l2 < h1 < h2
-                start2 = bisect_right(los, l1)
-                for l2, h2 in chords[start2 : bisect_left(los, h1, start2)]:
-                    if h2 > h1:
-                        children.append(
-                            order[l1 : l1 + 1]
-                            + dbl[h1 + 1 : h2 + 1]
-                            + order[l2 + 1 : h1 + 1]
-                            + order[l1 + 1 : l2 + 1]
-                            + dbl[h2 + 1 : l1 + n]
-                        )
-            for child in children:
-                key = canonical_circuit(child, directed)
-                if key in seen:
-                    continue
-                seen.add(key)
+        nxt: list[tuple[tuple[int, ...], int]] = []
+        for order, key in frontier:
+            for child, k in _branch(order, key, nbrs, adj, bit, seen):
                 if verify_circuit(g, child):
-                    results.add(key)
-                nxt.append(child)
+                    results.add(canonical_circuit(child, directed))
+                nxt.append((child, k))
         frontier = nxt
         if not frontier:
             break

@@ -52,6 +52,9 @@ class UnsupportedOperation(RuntimeError):
     pass
 
 
+_ARITY = {"cycle3": 3, "potdt": 4}
+
+
 @dataclass(frozen=True)
 class Move:
     """A 3-cycle (a b c) or a POTDT (a c)(b d).
@@ -63,16 +66,24 @@ class Move:
     kind: str  # "cycle3" | "potdt"
     verts: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # a repeated vertex is no 3-cycle or POTDT, and Tour.apply would
+        # never finish walking its chunks
+        arity = _ARITY.get(self.kind)
+        if arity is None:
+            raise ValueError(f"unknown move kind {self.kind!r}")
+        if len(self.verts) != arity:
+            raise ValueError(f"a {self.kind} move has {arity} vertices")
+        if len(set(self.verts)) != arity:
+            name = "3-cycle" if arity == 3 else "POTDT"
+            raise ValueError(f"{name} vertices must be distinct")
+
     @staticmethod
     def cycle3(a: int, b: int, c: int) -> "Move":
-        if len({a, b, c}) != 3:
-            raise ValueError("3-cycle vertices must be distinct")
         return Move("cycle3", (a, b, c))
 
     @staticmethod
     def potdt(a: int, c: int, b: int, d: int) -> "Move":
-        if len({a, b, c, d}) != 4:
-            raise ValueError("POTDT vertices must be distinct")
         return Move("potdt", (a, c, b, d))
 
     def perm(self) -> dict[int, int]:

@@ -66,6 +66,27 @@ def test_move_constructors_require_distinct_vertices():
         Move.potdt(1, 2, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "kind, verts",
+    [
+        ("potdt", (6, 4, 3, 6)),  # Tour.apply never returned on this one
+        ("potdt", (1, 2, 1, 3)),
+        ("potdt", (2, 2, 3, 4)),
+        ("cycle3", (1, 1, 2)),
+        ("cycle3", (3, 2, 3)),
+        ("cycle3", (1, 2, 3, 4)),  # wrong arity
+        ("potdt", (1, 2, 3)),
+        ("cycle3", ()),
+        ("swap", (1, 2)),  # unknown kind
+        ("2opt", (1, 2, 3, 4)),
+    ],
+)
+def test_move_constructor_rejects_malformed_moves(kind, verts):
+    # construction alone must fail, so no malformed move reaches Tour.apply
+    with pytest.raises(ValueError):
+        Move(kind, verts)
+
+
 def test_move_perm_and_inverse():
     m = Move.cycle3(1, 4, 8)
     assert m.perm() == {1: 4, 4: 8, 8: 1}
