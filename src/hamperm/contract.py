@@ -2,17 +2,21 @@
 
 Any Hamilton circuit must traverse every vertex of degree 2 (digraphs:
 in-degree or out-degree 1) through its incident edges, so maximal chains of
-such vertices are forced onto every circuit.  This module
+such vertices are forced onto every circuit.  contract() finds those chains
+to a fixed point (forcing two edges at a vertex deletes its remaining
+edges, which can force more) and deletes edges/arcs that join a chain's two
+endpoints directly (they would skip the chain interior and can lie on no
+circuit).  This is the package's only reduction pass; its ContractedGraph
+holds two views of the result:
 
-    * finds those chains to a fixed point (forcing two edges at a vertex
-      deletes its remaining edges, which can force more),
-    * replaces each chain by a single "2-vertex" whose two attachment sides
-      are the chain's endpoint vertices (digraphs: fixed initial/terminal
-      sides),
-    * deletes edges/arcs that join a chain's two endpoints directly (they
-      would skip the chain interior and can lie on no circuit), and
-    * expands a circuit of the contracted graph back to the host, orienting
-      each chain by which side the circuit enters.
+    * the side-faithful condensed graph the solver searches: every chain
+      keeps its endpoint vertices and its interior becomes one dummy vertex
+      between them, so each remaining edge keeps the endpoint it attaches
+      to; ContractedGraph.lift maps any circuit of it back to the host,
+    * the paper's 2-vertex graph, built on first access: each chain becomes
+      a single vertex whose two attachment sides are the chain's endpoints
+      (digraphs: fixed initial/terminal sides); expand() maps a circuit of
+      it back, orienting each chain by which side the circuit enters.
 
 Infeasibility discovered during reduction (a vertex with three forced
 edges, a vertex out of usable edges, or a forced cycle that does not span
@@ -21,7 +25,8 @@ the graph) proves the host non-Hamiltonian and raises ContractError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .graphs import AnyGraph, Digraph, Graph
@@ -61,10 +66,24 @@ class TwoPath:
 
 @dataclass
 class ContractedGraph:
+    """The host after contract(), in two views over the same reduction.
+
+    condensed numbers the non-interior host vertices in sorted order, then
+    one dummy per chain with an interior, in chain order;
+    condensed_elements maps each id to its host vertex or, for a dummy, its
+    TwoPath.  With no chains it is the host itself.  lift() maps a Hamilton
+    circuit of condensed to one of the host.
+
+    graph and elements, the 2-vertex view, are built from condensed on
+    first access, so a solve never pays for them: ordinary vertices in
+    sorted order, then one vertex per chain by least chain vertex, with a
+    chain's endpoints and dummy merged into it (loops and repeated edges
+    dropped).
+    """
+
     host: AnyGraph
-    graph: AnyGraph  # the contracted graph over new ids 1..n'
-    elements: dict[int, Union[int, TwoPath]]  # new id -> host vertex | chain
-    to_new: dict[int, int]  # non-interior host vertex -> new id
+    condensed: AnyGraph
+    condensed_elements: dict[int, Union[int, TwoPath]]
     two_paths: list[TwoPath]
     deleted: set[tuple]  # host edges/arcs removed by the reduction
     forced_circuit: Optional[list[int]] = None  # set when the host is one
@@ -74,12 +93,58 @@ class ContractedGraph:
     def is_identity(self) -> bool:
         return not self.two_paths and self.forced_circuit is None
 
+    @cached_property
+    def elements(self) -> dict[int, Union[int, TwoPath]]:
+        """2-vertex id -> host vertex | chain."""
+        ends = {v for tp in self.two_paths for v in (tp.start, tp.end)}
+        ordinary = [
+            el
+            for el in self.condensed_elements.values()
+            if not isinstance(el, TwoPath) and el not in ends
+        ]
+        chains = sorted(self.two_paths, key=lambda tp: min(tp.vertices))
+        return dict(enumerate(ordinary + chains, 1))
+
+    @cached_property
+    def graph(self) -> AnyGraph:
+        """The contracted graph over 2-vertex ids 1..n'."""
+        new_id: dict = {}  # host vertex | chain -> 2-vertex id
+        for nid, el in self.elements.items():
+            new_id[el] = nid
+            if isinstance(el, TwoPath):
+                new_id[el.start] = new_id[el.end] = nid
+        to_new = {cid: new_id[el] for cid, el in self.condensed_elements.items()}
+        h = self.condensed
+        g: AnyGraph = (Digraph if h.directed else Graph)(len(self.elements))
+        add = g.add_arc if h.directed else g.add_edge
+        for u, v in h.arcs if h.directed else h.edges:
+            nu, nv = to_new[u], to_new[v]
+            if nu != nv and not g.has_arc(nu, nv):
+                add(nu, nv)
+        return g
+
     def sides(self, new_id: int) -> tuple[int, int]:
         """The two attachment sides (endpoint host vertices) of a 2-vertex."""
         el = self.elements[new_id]
         if isinstance(el, TwoPath):
             return el.start, el.end
         raise ValueError(f"{new_id} is not a 2-vertex")
+
+    def lift(self, circuit: list[int]) -> list[int]:
+        """Map a Hamilton circuit of condensed to the host: a dummy expands
+        to its chain's interior, oriented by the element before it."""
+        if self.forced_circuit is not None:
+            return list(self.forced_circuit)
+        els = self.condensed_elements
+        out: list[int] = []
+        for i, x in enumerate(circuit):
+            el = els[x]
+            if isinstance(el, TwoPath):
+                inner = el.interior
+                out.extend(inner if els[circuit[i - 1]] == el.start else inner[::-1])
+            else:
+                out.append(el)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -282,79 +347,47 @@ def find_two_paths(g: AnyGraph) -> list[TwoPath]:
     returns a single closed TwoPath (first vertex repeated last); an
     un-spanning forced cycle raises IsolatedCycleError.
     """
-    if g.directed:
-        _, _, chains, cyc = _reduce_digraph(g)
-    else:
-        _, _, chains, cyc = _reduce_graph(g)
+    cg = contract(g)
+    cyc = cg.forced_circuit
     if cyc is not None:
         return [TwoPath(tuple(cyc + cyc[:1]), g.directed)]
-    return [TwoPath(tuple(c), g.directed) for c in chains]
+    return cg.two_paths
 
 
 def contract(g: AnyGraph) -> ContractedGraph:
+    """Reduce g's forced chains; see ContractedGraph for the result."""
     if g.directed:
         (out, _inn), deleted, chains, cyc = _reduce_digraph(g)
-        remaining = [(u, v) for u in out for v in out[u]]
+        remaining = ((u, v) for u in out for v in out[u])
     else:
         adj, deleted, chains, cyc = _reduce_graph(g)
-        remaining = [(u, v) for u in adj for v in adj[u] if u < v]
-    two_paths = [TwoPath(tuple(c), g.directed) for c in chains]
+        remaining = ((u, v) for u in adj for v in adj[u] if u < v)
     if cyc is not None:
         # whole host collapses to one forced circuit
-        trivial = Digraph(1) if g.directed else Graph(1)
-        return ContractedGraph(
-            host=g,
-            graph=trivial,
-            elements={1: cyc[0]},
-            to_new={cyc[0]: 1},
-            two_paths=[],
-            deleted=deleted,
-            forced_circuit=list(cyc),
-        )
+        one = Digraph(1) if g.directed else Graph(1)
+        return ContractedGraph(g, one, {1: cyc[0]}, [], deleted, list(cyc))
+    two_paths = [TwoPath(tuple(c), g.directed) for c in chains]
+    if not chains:
+        # every deletion leaves a chain, so nothing was deleted either
+        return ContractedGraph(g, g, {v: v for v in range(1, g.n + 1)}, [], deleted)
     interior: set[int] = set()
-    owner: dict[int, int] = {}  # endpoint host vertex -> chain index
-    for idx, tp in enumerate(two_paths):
+    for tp in two_paths:
         interior.update(tp.interior)
-        owner[tp.start] = idx
-        owner[tp.end] = idx
-    ordinary = sorted(
-        v for v in range(1, g.n + 1) if v not in interior and v not in owner
-    )
-    elements: dict[int, Union[int, TwoPath]] = {}
-    to_new: dict[int, int] = {}
-    nid = 0
-    for v in ordinary:
-        nid += 1
-        elements[nid] = v
-        to_new[v] = nid
-    chain_ids: dict[int, int] = {}
-    for idx, tp in enumerate(sorted(two_paths, key=lambda tp: min(tp.vertices))):
-        nid += 1
-        elements[nid] = tp
-        chain_ids[two_paths.index(tp)] = nid
-        for e in (tp.start, tp.end):
-            to_new[e] = nid
-    cg_graph: AnyGraph = Digraph(nid) if g.directed else Graph(nid)
+    keep = [v for v in range(1, g.n + 1) if v not in interior]
+    to_new = {v: i for i, v in enumerate(keep, 1)}
+    elements: dict[int, Union[int, TwoPath]] = dict(enumerate(keep, 1))
+    dummies = [tp for tp in two_paths if tp.interior]
+    for tp in dummies:
+        elements[len(elements) + 1] = tp
+    cond: AnyGraph = (Digraph if g.directed else Graph)(len(elements))
+    add = cond.add_arc if g.directed else cond.add_edge
     for u, v in remaining:
-        if u in interior or v in interior:
-            continue
-        nu, nv = to_new[u], to_new[v]
-        if nu == nv:
-            continue
-        if g.directed:
-            if not cg_graph.has_arc(nu, nv):
-                cg_graph.add_arc(nu, nv)
-        else:
-            if not cg_graph.has_edge(nu, nv):
-                cg_graph.add_edge(nu, nv)
-    return ContractedGraph(
-        host=g,
-        graph=cg_graph,
-        elements=elements,
-        to_new=to_new,
-        two_paths=two_paths,
-        deleted=deleted,
-    )
+        if u not in interior and v not in interior:
+            add(to_new[u], to_new[v])
+    for dummy, tp in enumerate(dummies, len(keep) + 1):
+        add(to_new[tp.start], dummy)
+        add(dummy, to_new[tp.end])
+    return ContractedGraph(g, cond, elements, two_paths, deleted)
 
 
 def _entry_exit_states(el: Union[int, TwoPath], directed: bool):

@@ -24,9 +24,11 @@ solve, and a move or rotation costs a few C-level list slices on the array
 Tour plus O(1) host lookups.  The solver keeps no abbreviation of the tour
 (tour.Abbreviation is the paper's run notation, for goldens and rendering).
 
-Degree-2 chains are contracted away first (see contract); a circuit found
-on the contracted graph is expanded back and re-verified on the original
-host.  Everything is deterministic per (input, params, seed).
+Degree-2 chains are contracted away first: the search runs on
+contract(g).condensed, where each chain keeps its endpoints and its
+interior becomes one dummy vertex, and a circuit found there is mapped back
+by ContractedGraph.lift and re-verified on the original host.  Everything
+is deterministic per (input, params, seed).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .contract import ContractError, _reduce_digraph, _reduce_graph
+from .contract import ContractError, contract
 from .graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
 from .oracle import verify_circuit
 from .tour import Move, Tour
@@ -361,92 +363,25 @@ def _shuffled(n: int, rng: random.Random) -> list[int]:
 # public entry points
 # --------------------------------------------------------------------------
 
-def _condense(g: AnyGraph):
-    """Contract forced chains side-faithfully: a chain [p, ..., q] with
-    interior becomes p - dummy - q (directed: p -> dummy -> q), so every
-    remaining edge keeps the exact endpoint it attaches to and mapping a
-    circuit back to the host can never fail.
-
-    Returns (condensed graph, new->host element map) or a forced circuit.
-    Raises ContractError when the reduction proves non-Hamiltonicity.
-    """
-    if g.directed:
-        (out, _inn), _deleted, chains, cyc = _reduce_digraph(g)
-        remaining = [(u, v) for u in out for v in out[u]]
-    else:
-        adj, _deleted, chains, cyc = _reduce_graph(g)
-        remaining = [(u, v) for u in adj for v in adj[u] if u < v]
-    if cyc is not None:
-        return None, None, list(cyc)
-    interior: set[int] = set()
-    for chain in chains:
-        interior.update(chain[1:-1])
-    keep = sorted(v for v in range(1, g.n + 1) if v not in interior)
-    to_new = {v: i + 1 for i, v in enumerate(keep)}
-    elements: dict[int, object] = {to_new[v]: v for v in keep}
-    nid = len(keep)
-    cond: AnyGraph = Digraph(1) if g.directed else Graph(1)  # placeholder
-    dummies: list[tuple[int, list[int]]] = []
-    for chain in chains:
-        if len(chain) >= 3:
-            nid += 1
-            dummies.append((nid, chain))
-            elements[nid] = tuple(chain)
-    cond = Digraph(nid) if g.directed else Graph(nid)
-    for u, v in remaining:
-        if u in interior or v in interior:
-            continue
-        if g.directed:
-            cond.add_arc(to_new[u], to_new[v])
-        else:
-            cond.add_edge(to_new[u], to_new[v])
-    for dummy, chain in dummies:
-        p, q = to_new[chain[0]], to_new[chain[-1]]
-        if g.directed:
-            cond.add_arc(p, dummy)
-            cond.add_arc(dummy, q)
-        else:
-            cond.add_edge(p, dummy)
-            cond.add_edge(dummy, q)
-    return cond, elements, None
-
-
-def _lift(circuit: list[int], elements: dict) -> list[int]:
-    """Replace condensed vertices by host vertices; a chain dummy expands to
-    its interior, oriented by the neighboring endpoint elements."""
-    out: list[int] = []
-    for i, x in enumerate(circuit):
-        el = elements[x]
-        if isinstance(el, tuple):
-            prev_el = elements[circuit[i - 1]]
-            inner = list(el[1:-1])
-            if prev_el == el[0]:
-                out.extend(inner)
-            else:
-                out.extend(reversed(inner))
-        else:
-            out.append(el)
-    return out
-
-
 def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
     try:
-        cond, elements, forced = _condense(g)
+        cg = contract(g)
     except ContractError as exc:
         return SolveReport(
             "infeasible-precondition", detail=f"contraction: {exc}"
         )
+    forced = cg.forced_circuit
     if forced is not None:
         if verify_circuit(g, forced):
             return SolveReport("circuit", list(forced), final_pseudo=0)
         return SolveReport(
             "infeasible-precondition", detail="forced cycle fails verification"
         )
-    rp = p.resolve(cond.n)
-    rep = _solve_core(cond, rp)
+    rp = p.resolve(cg.condensed.n)
+    rep = _solve_core(cg.condensed, rp)
     if rep.outcome != "circuit":
         return rep
-    host_circuit = _lift(rep.circuit, elements)
+    host_circuit = cg.lift(rep.circuit)
     if not verify_circuit(g, host_circuit):
         return SolveReport(
             "timeout",

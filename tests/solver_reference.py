@@ -2,8 +2,10 @@
 
 Copied verbatim from the earlier implementation: the Tour that walked all n
 successors in apply and re-tested the whole reversed segment in rotate, the
-per-call sorted neighbour lists, the O(k^2) containment counts and the
-Abbreviation mirror.  tests/test_solver_reference.py checks the current
+per-call sorted neighbour lists, the O(k^2) containment counts, the
+Abbreviation mirror and the solver's own side-faithful condensation
+(_condense/_lift; only the chain reduction _reduce_graph/_reduce_digraph
+is shared with hamperm.contract).  tests/test_solver_reference.py checks the current
 Tour and solver against these on seeded inputs; nothing in src/ imports
 this module.
 
@@ -23,10 +25,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from hamperm.contract import ContractError
+from hamperm.contract import ContractError, _reduce_digraph, _reduce_graph
 from hamperm.graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
 from hamperm.oracle import verify_circuit
-from hamperm.solver import SolveReport, _condense
+from hamperm.solver import SolveReport
 from hamperm.tour import InadmissibleMove, Move, UnsupportedOperation, rebase
 
 
@@ -508,6 +510,56 @@ def _shuffled(n: int, rng: random.Random) -> list[int]:
     verts = list(range(1, n + 1))
     rng.shuffle(verts)
     return verts
+
+
+def _condense(g: AnyGraph):
+    """Contract forced chains side-faithfully: a chain [p, ..., q] with
+    interior becomes p - dummy - q (directed: p -> dummy -> q), so every
+    remaining edge keeps the exact endpoint it attaches to and mapping a
+    circuit back to the host can never fail.
+
+    Returns (condensed graph, new->host element map) or a forced circuit.
+    Raises ContractError when the reduction proves non-Hamiltonicity.
+    """
+    if g.directed:
+        (out, _inn), _deleted, chains, cyc = _reduce_digraph(g)
+        remaining = [(u, v) for u in out for v in out[u]]
+    else:
+        adj, _deleted, chains, cyc = _reduce_graph(g)
+        remaining = [(u, v) for u in adj for v in adj[u] if u < v]
+    if cyc is not None:
+        return None, None, list(cyc)
+    interior: set[int] = set()
+    for chain in chains:
+        interior.update(chain[1:-1])
+    keep = sorted(v for v in range(1, g.n + 1) if v not in interior)
+    to_new = {v: i + 1 for i, v in enumerate(keep)}
+    elements: dict[int, object] = {to_new[v]: v for v in keep}
+    nid = len(keep)
+    cond: AnyGraph = Digraph(1) if g.directed else Graph(1)  # placeholder
+    dummies: list[tuple[int, list[int]]] = []
+    for chain in chains:
+        if len(chain) >= 3:
+            nid += 1
+            dummies.append((nid, chain))
+            elements[nid] = tuple(chain)
+    cond = Digraph(nid) if g.directed else Graph(nid)
+    for u, v in remaining:
+        if u in interior or v in interior:
+            continue
+        if g.directed:
+            cond.add_arc(to_new[u], to_new[v])
+        else:
+            cond.add_edge(to_new[u], to_new[v])
+    for dummy, chain in dummies:
+        p, q = to_new[chain[0]], to_new[chain[-1]]
+        if g.directed:
+            cond.add_arc(p, dummy)
+            cond.add_arc(dummy, q)
+        else:
+            cond.add_edge(p, dummy)
+            cond.add_edge(dummy, q)
+    return cond, elements, None
 
 
 def _lift(circuit: list[int], elements: dict, directed: bool) -> list[int]:

@@ -11,8 +11,15 @@ from hamperm.contract import (
     expand,
     find_two_paths,
 )
-from hamperm.graphs import Digraph, Graph, complete_graph, cycle_graph
-from hamperm.oracle import brute_force_circuits, verify_circuit
+from hamperm.graphs import (
+    Digraph,
+    Graph,
+    complete_digraph,
+    complete_graph,
+    cycle_graph,
+)
+from hamperm.oracle import brute_force_circuits, canonical_circuit, verify_circuit
+from test_acceptance import _chain_host
 
 
 def k4_with_pendant_path():
@@ -216,3 +223,35 @@ def test_contracted_circuits_cover_host_circuits():
             assert bool(expanded) == bool(host)
         checked += 1
     assert checked >= 10
+
+
+def test_lift_gives_exactly_the_host_circuits():
+    # a09's chain hosts: lifting every circuit of the side-faithful
+    # condensed graph yields each host circuit, and nothing else (the
+    # 2-vertex graph cannot, see a09's comment on two 2-vertices)
+    checked = 0
+    for seed in range(1, 700):
+        g = _chain_host(seed)
+        if g is None:
+            continue
+        try:
+            cg = contract(g)
+        except ContractError:
+            continue
+        if cg.forced_circuit is not None:
+            continue
+        lifted = {
+            canonical_circuit(cg.lift(list(c)), g.directed)
+            for c in brute_force_circuits(cg.condensed)
+        }
+        assert lifted == set(brute_force_circuits(g)), f"seed {seed}"
+        checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("g", [complete_graph(6), complete_digraph(4)])
+def test_chainless_host_is_its_own_condensation(g):
+    cg = contract(g)
+    assert cg.condensed is g and not cg.two_paths and not cg.deleted
+    for c in brute_force_circuits(g):
+        assert cg.lift(list(c)) == list(c)
