@@ -15,14 +15,18 @@ convert pseudo-arcs (tour arcs absent from the host) into host arcs:
       BACKTRACK queue of inverses.
 
 An iteration's Python-level work is bounded by the sampled candidates.
-Pseudo-arc vertices (the anchor, the POTDT partner, the rotation's pivot)
-are drawn by membership tests against the pseudo set, with a sorted pass
-only when 8 uniform draws miss.  Each candidate is a (key, vertices, DIFF)
-tuple scored from tour positions and the 3-4 arcs it creates; only the
-applied one becomes a Move.  The sorted neighbour lists are built once per
-solve, and a move or rotation costs a few C-level list slices on the array
-Tour plus O(1) host lookups.  The solver keeps no abbreviation of the tour
-(tour.Abbreviation is the paper's run notation, for goldens and rendering).
+A vertex v is a pseudo-arc vertex when its tour successor is not in its
+host neighbour set, a test on the tour's order/pos arrays; the tour's
+registry itself holds pseudo-arc keys, so its size is |PSEUDO|.  Pseudo-arc
+vertices (the anchor, the POTDT partner, the rotation's pivot) are drawn by
+that test, and the vertex set is decoded from the registry and sorted only
+when 8 uniform draws miss.  Each candidate is a (key, vertices, DIFF) tuple
+scored from tour positions and the 3-4 arcs it creates; only the applied one
+becomes a Move.  The sorted neighbour lists are built once per solve.  A
+move costs a few C-level list slices on the array Tour, a rotation the
+reversal of its segment in place, each plus O(1) host lookups.  The solver
+keeps no abbreviation of the tour (tour.Abbreviation is the paper's run
+notation, for goldens and rendering).
 
 Degree-2 chains are contracted away first: the search runs on
 contract(g).condensed, where each chain keeps its endpoints and its
@@ -109,23 +113,21 @@ def _sorted_neighbors(h: AnyGraph) -> tuple[dict, dict]:
     return out, out
 
 
-def _cycle3(order, pos, pseudo, adj, a, b, c):
+def _cycle3(order, pos, adj, a, b, c):
     """The candidate (key, (a, b, c), DIFF) of the 3-cycle (a b c), or None
     unless it is admissible (a, b, c clockwise) and passes the pseudo filter
     (at most one of its created arcs a -> succ(b), b -> succ(c),
-    c -> succ(a) is off the host).  key equals the Move's canonical_key()."""
+    c -> succ(a) is off the host).  key equals the Move's canonical_key();
+    a vertex v counts as a pseudo-arc vertex when succ(v) is not in adj[v]."""
     n = len(order)
     pa, pb, pc = pos[a], pos[b], pos[c]
     if (pb - pa) % n >= (pc - pa) % n:
         return None
-    host = (
-        (order[pb + 1 - n] in adj[a])
-        + (order[pc + 1 - n] in adj[b])
-        + (order[pa + 1 - n] in adj[c])
-    )
+    sa, sb, sc = order[pa + 1 - n], order[pb + 1 - n], order[pc + 1 - n]
+    host = (sb in adj[a]) + (sc in adj[b]) + (sa in adj[c])
     if host < 2:
         return None
-    diff = host - (a not in pseudo) - (b not in pseudo) - (c not in pseudo)
+    diff = host - (sa in adj[a]) - (sb in adj[b]) - (sc in adj[c])
     if a < b and a < c:
         key = (a, b, c)
     elif b < c:
@@ -135,12 +137,12 @@ def _cycle3(order, pos, pseudo, adj, a, b, c):
     return ("cycle3", key), (a, b, c), diff
 
 
-def _potdt(order, pos, pseudo, adj, a, c, b, d):
+def _potdt(order, pos, adj, a, c, b, d):
     """The candidate (key, (a, c, b, d), DIFF) of the POTDT (a c)(b d), or
     None unless it is admissible (chords [a,c] and [b,d] interlace) and
     passes the pseudo filter (at most one of a -> succ(c), c -> succ(a),
     b -> succ(d), d -> succ(b) is off the host).  key equals the Move's
-    canonical_key()."""
+    canonical_key(); pseudo-arc vertices are tested as in _cycle3."""
     n = len(order)
     pa, pc, pb, pd = pos[a], pos[c], pos[b], pos[d]
     qc = (pc - pa) % n
@@ -152,7 +154,7 @@ def _potdt(order, pos, pseudo, adj, a, c, b, d):
     if host < 3:
         return None
     diff = host - (
-        (a not in pseudo) + (c not in pseudo) + (b not in pseudo) + (d not in pseudo)
+        (sa in adj[a]) + (sc in adj[c]) + (sb in adj[b]) + (sd in adj[d])
     )
     p1 = (a, c) if a < c else (c, a)
     p2 = (b, d) if b < d else (d, b)
@@ -172,7 +174,7 @@ def _candidates(
     pseudo-arc vertex a, built from sampled host edges (adj maps a vertex
     to its host out-neighbour set).  At most test_cap candidates are
     tested; of candidates with equal keys the first is kept."""
-    order, pos, pseudo = t.order, t.pos, t.pseudo
+    order, pos = t.order, t.pos
     out_nbrs, in_nbrs = nbrs
     n = len(order)
     ha = order[pos[a] + 1 - n]
@@ -184,7 +186,7 @@ def _candidates(
         nonlocal tests
         if tests < cap:
             tests += 1
-            cand = score(order, pos, pseudo, adj, a, *verts)
+            cand = score(order, pos, adj, a, *verts)
             if cand is not None:
                 found.setdefault(cand[0], cand)
 
@@ -211,8 +213,8 @@ def _candidates(
         for y in sample(zs):
             consider(_cycle3, b, y)
     # POTDTs seeded from a second pseudo-arc vertex
-    if len(pseudo) > 1 and bs:
-        v2 = _draw_pseudo(t, rng, a)
+    if len(t.pseudo_keys) > 1 and bs:
+        v2 = _draw_pseudo(t, adj, rng, a)
         s2 = order[pos[v2] + 1 - n]
         ws = [w for w in out_nbrs[v2] if w != s2 and w != v2]
         for w in sample(ws):
@@ -223,26 +225,30 @@ def _candidates(
     return list(found.values())
 
 
-def _draw_pseudo(t: Tour, rng: random.Random, exclude: int = 0) -> int:
-    """A pseudo-arc vertex other than exclude, uniformly at random.
+def _draw_pseudo(
+    t: Tour, adj: dict, rng: random.Random, exclude: int = 0
+) -> int:
+    """A pseudo-arc vertex other than exclude, uniformly at random (adj
+    maps a vertex to its host out-neighbour set).
 
-    Up to 8 uniform draws over all n vertices, keeping the first that is a
-    pseudo-arc vertex other than exclude; if none is, an index into the
-    sorted remaining pseudo-arc vertices.  Each step is uniform over the
-    same set, so the mixture is too.  At least one such vertex must exist.
+    Up to 8 uniform draws over all n vertices, keeping the first other than
+    exclude whose tour successor is not a host neighbour; if none is, an
+    index into the sorted remaining pseudo-arc vertices.  Each step is
+    uniform over the same set, so the mixture is too.  At least one such
+    vertex must exist.
     """
-    pseudo = t.pseudo
-    n = len(t.order)
+    order, pos = t.order, t.pos
+    n = len(order)
     for _ in range(8):
         v = rng.randrange(n) + 1
-        if v in pseudo and v != exclude:
+        if order[pos[v] + 1 - n] not in adj[v] and v != exclude:
             return v
-    pool = sorted(pseudo - {exclude})
+    pool = sorted(t.pseudo_vertices() - {exclude})
     return pool[rng.randrange(len(pool))]
 
 
 def _pick_rotation(
-    t: Tour, nbrs: dict, rng: random.Random
+    t: Tour, adj: dict, nbrs: dict, rng: random.Random
 ) -> Optional[tuple[int, int]]:
     """A rotation (v, w) anchored at a pseudo-arc vertex v along an off-tour
     host edge [v, w]; such a rotation never increases |PSEUDO|.
@@ -250,15 +256,16 @@ def _pick_rotation(
     v is uniform over the pseudo-arc vertices that have such an edge: up to
     8 draws of _draw_pseudo keep the first that does, and a scan of the
     shuffled pseudo-arc vertices decides otherwise (None if none has one).
-    w is uniform over v's off-tour host neighbours.
+    w is uniform over v's off-tour host neighbours (adj holds the host's
+    neighbour sets, nbrs the same as sorted lists).
     """
-    if not t.pseudo:
+    if not t.pseudo_keys:
         return None
 
     def tries():
         for _ in range(8):
-            yield _draw_pseudo(t, rng)
-        pseudos = sorted(t.pseudo)
+            yield _draw_pseudo(t, adj, rng)
+        pseudos = sorted(t.pseudo_vertices())
         rng.shuffle(pseudos)
         yield from pseudos
 
@@ -290,7 +297,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     since_improve = 0
     stall_limit = max(30, 2 * n)
     while rep.iterations < rp.budget:
-        if not t.pseudo:
+        if not t.pseudo_keys:
             break
         if h.directed and since_improve >= stall_limit:
             t = Tour(h, _shuffled(n, rng))
@@ -299,8 +306,8 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             since_improve = 0
             continue
         rep.iterations += 1
-        before = len(t.pseudo)
-        a = _draw_pseudo(t, rng)
+        before = len(t.pseudo_keys)
+        a = _draw_pseudo(t, adj, rng)
         cands = _candidates(t, a, adj, nbrs, rng, rp)
         recent = backtrack[0].canonical_key() if backtrack else None
         applied: Optional[Move] = None
@@ -330,23 +337,23 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
                     t.apply(m)
                     rep.backtracks += 1
         if not h.directed:
-            rot = _pick_rotation(t, nbrs[0], rng)
+            rot = _pick_rotation(t, adj, nbrs[0], rng)
             if rot is not None:
                 t.rotate(*rot)
             elif applied is None and not cands:
                 rep.detail = "stuck: no off-tour host edge at any pseudo-arc vertex"
-                rep.pseudo_trajectory.append(len(t.pseudo))
+                rep.pseudo_trajectory.append(len(t.pseudo_keys))
                 break
-            after = len(t.pseudo)
+            after = len(t.pseudo_keys)
             assert after <= before, "pseudo count increased in graph mode"
-        cur = len(t.pseudo)
+        cur = len(t.pseudo_keys)
         if cur < best_pseudo:
             best_pseudo = cur
             since_improve = 0
         else:
             since_improve += 1
         rep.pseudo_trajectory.append(cur)
-    rep.final_pseudo = len(t.pseudo)
+    rep.final_pseudo = len(t.pseudo_keys)
     if rep.final_pseudo == 0:
         rep.outcome = "circuit"
         rep.circuit = t.sequence_from(1)

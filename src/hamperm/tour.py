@@ -2,7 +2,9 @@
 
 A Tour is a cyclic order (an n-cycle) over all vertices of a host graph or
 digraph.  Consecutive pairs that are not realized by host edges/arcs are
-pseudo-arcs; the registry of their initial vertices is kept incrementally.
+pseudo-arcs.  The registry keeps one int key per pseudo-arc, unordered on an
+undirected host (n >= 3), and is updated incrementally; pseudo_vertices()
+decodes it into the pseudo-arcs' initial vertices.
 
 Moves are admissible permutations: 3-cycles (a b c) and products of two
 disjoint transpositions (a c)(b d) ("POTDT").  A move is admissible exactly
@@ -25,10 +27,13 @@ and a POTDT (a c)(b d) rewires
 Rotations (graph mode only) reverse the tour segment between v and w where
 [v, w] is a host edge off the tour.
 
-The Tour is an array (order) with a position map (pos).  A move or a
-rotation costs a few C-level list slices plus a position update, and O(1)
-host lookups: only the 3-4 arcs a move creates, or the 2 arcs a rotation
-creates, are tested against the host.
+The Tour is an array (order) with a position map (pos); order[0] carries
+no meaning, since a rotation reverses its segment in place wherever it lies.
+A move costs a few C-level list slices plus a position update over the span
+it rewires, and a rotation one or two slice reversals plus a position update
+over its segment.  Either does O(1) host lookups and registry updates: a
+reversed edge keeps its unordered key, so only the 3-4 arcs a move creates,
+or the 2 arcs a rotation creates, are tested against the host.
 
 An Abbreviation is the paper's notation for a tour: the runs of base-tour
 ordinals it traverses, "a … b" ascending and "a --- b" descending.  It is a
@@ -39,7 +44,8 @@ and rendering; the solver does not keep one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Sequence
 
 from .graphs import AnyGraph
 
@@ -119,7 +125,13 @@ class Move:
 
 
 class Tour:
-    """A pseudo-Hamilton circuit over a host graph/digraph."""
+    """A pseudo-Hamilton circuit over a host graph/digraph.
+
+    pseudo_keys holds one int per pseudo-arc (u, v): min(u,v)*(n+1) +
+    max(u,v) on an undirected host with n >= 3, where the n tour edges are
+    n distinct pairs, and the ordered u*(n+1) + v on a digraph or for
+    n <= 2 (the 2-cycle 1, 2 runs the pair {1, 2} twice).
+    """
 
     def __init__(self, host: AnyGraph, order: Sequence[int]):
         if sorted(order) != list(range(1, host.n + 1)):
@@ -127,8 +139,9 @@ class Tour:
         self.host = host
         self.order: list[int] = list(order)
         self.pos: dict[int, int] = {v: i for i, v in enumerate(self.order)}
-        self.pseudo: set[int] = set()
-        self._recount_pseudo()
+        self._base = host.n + 1
+        self._unordered = not host.directed and host.n >= 3
+        self.pseudo_keys: set[int] = self._count_pseudo_keys()
 
     # ---------- basic accessors ----------
 
@@ -160,33 +173,48 @@ class Tour:
         t.host = self.host
         t.order = list(self.order)
         t.pos = dict(self.pos)
-        t.pseudo = set(self.pseudo)
+        t._base = self._base
+        t._unordered = self._unordered
+        t.pseudo_keys = set(self.pseudo_keys)
         return t
 
     # ---------- pseudo registry ----------
 
-    def _is_pseudo(self, v: int, w: int) -> bool:
-        return not self.host.has_arc(v, w)
+    def _key(self, u: int, v: int) -> int:
+        if self._unordered and v < u:
+            return v * self._base + u
+        return u * self._base + v
 
-    def _recount_pseudo(self) -> None:
-        self.pseudo = {v for v in self.order if self._is_pseudo(v, self.succ(v))}
-
-    def _refresh_pseudo(self, vertices: Iterable[int]) -> None:
-        for v in vertices:
-            if self._is_pseudo(v, self.succ(v)):
-                self.pseudo.add(v)
-            else:
-                self.pseudo.discard(v)
+    def _count_pseudo_keys(self) -> set[int]:
+        """The registry recounted from the host, one lookup per tour arc."""
+        order = self.order
+        host = self.host
+        adj = host.out_adj if host.directed else host.adj
+        key = self._key
+        return {
+            key(u, v)
+            for u, v in zip(order, order[1:] + order[:1])
+            if v not in adj[u]
+        }
 
     def pseudo_vertices(self) -> set[int]:
-        """Initial vertices of the current pseudo-arcs."""
-        return self.pseudo
+        """Initial vertices of the current pseudo-arcs (built on each call)."""
+        base = self._base
+        if not self._unordered:
+            return {k // base for k in self.pseudo_keys}
+        # the key's pair is {u, v} with u < v: u begins the arc iff v follows it
+        order, pos = self.order, self.pos
+        n = len(order)
+        return {
+            u if order[pos[u] + 1 - n] == v else v
+            for u, v in map(divmod, self.pseudo_keys, repeat(base))
+        }
 
     def pseudo_arcs(self) -> set[tuple[int, int]]:
-        return {(v, self.succ(v)) for v in self.pseudo}
+        return {(v, self.succ(v)) for v in self.pseudo_vertices()}
 
     def is_circuit(self) -> bool:
-        return not self.pseudo
+        return not self.pseudo_keys
 
     # ---------- cyclic order predicates ----------
 
@@ -229,7 +257,9 @@ class Tour:
         chunks, and the move only relinks them (no chunk is reversed), so
         the new order is a concatenation of list slices.  The chunk holding
         order[0] keeps its place, so order[0] and every position outside
-        the first..last cut span stay as they were.
+        the first..last cut span stay as they were.  Only the moved
+        vertices' arcs change, so the registry drops their old keys and
+        adds the new arcs that are off the host.
         """
         if not self.admissible(m):
             raise InadmissibleMove(f"move {m} is not admissible on this tour")
@@ -249,9 +279,18 @@ class Tour:
             c = after[pos[perm[order[c]]]]
         if len(middle) != last - first:  # pragma: no cover - admissibility
             raise InadmissibleMove(f"move {m} does not yield a single n-cycle")
+        n = len(order)
+        key = self._key
+        keys = self.pseudo_keys
+        for u in perm:
+            keys.discard(key(u, order[pos[u] + 1 - n]))
         order[first + 1 : last + 1] = middle
         pos.update(zip(middle, range(first + 1, last + 1)))
-        self._refresh_pseudo(perm)
+        has_arc = self.host.has_arc
+        for u in perm:
+            v = order[pos[u] + 1 - n]
+            if not has_arc(u, v):
+                keys.add(key(u, v))
         return self
 
     # ---------- rotation (graph mode) ----------
@@ -260,45 +299,73 @@ class Tour:
         """Reverse the segment succ(v)..w so the tour reads v, w, ..., succ(v).
 
         Requires [v, w] to be a host edge not on the tour; graph mode only.
-        The tour is restarted at v (order[0] == v afterwards).  Inside the
-        reversed segment each edge keeps its host status and only its
-        initial vertex moves one step, so just the two new arcs (v, w) and
-        (old succ(v), old succ(w)) are looked up in the host.
+        The segment is reversed in place (two slices when it wraps past the
+        end of order) and only its positions are rewritten, so order[0] is
+        whichever vertex the array happens to start with.  The other side
+        is never reversed instead: that would flip the direction the tour
+        is read in.  A reversed edge keeps its unordered key, so only the
+        keys of the removed arcs (v, succ(v)) and (w, succ(w)) and of the
+        new arc (succ(v), succ(w)) change; the new arc (v, w) is a host
+        edge.
         """
-        if self.host.directed:
+        host = self.host
+        if host.directed:
             raise UnsupportedOperation("rotations are undefined for digraphs")
-        if w == v or w == self.succ(v) or w == self.pred(v):
+        order, pos = self.order, self.pos
+        n = len(order)
+        i, j = pos[v], pos[w]
+        s = i + 1 if i + 1 < n else 0  # position of succ(v)
+        if j == i or j == s or j == i - 1 or j == i - 1 + n:
             raise ValueError("rotation endpoints must be nonadjacent on the tour")
-        if not self.host.has_arc(v, w):
+        if not host.has_arc(v, w):
             raise ValueError(f"[{v},{w}] is not a host edge")
-        i = self.pos[v]
-        order = self.order[i:] + self.order[:i]
-        j = (self.pos[w] - i) % len(order)
-        head = order[1]
-        pseudo = self.pseudo
-        inner = pseudo.intersection(order[1:j])
-        pseudo.difference_update(order[1 : j + 1])
-        order[1 : j + 1] = order[j:0:-1]
-        self.order = order
-        self.pos = pos = dict(zip(order, range(len(order))))
-        # the edge that began at x now begins at its old successor, which
-        # sits right before x in the reversed segment
-        shifted = map((-1).__add__, map(pos.__getitem__, inner))
-        pseudo.update(map(order.__getitem__, shifted))
-        self._refresh_pseudo((v, head))
+        hv, hw = order[s], order[j + 1 - n]
+        key = self._key
+        keys = self.pseudo_keys
+        keys.discard(key(v, hv))
+        keys.discard(key(w, hw))
+        if not host.has_arc(hv, hw):
+            keys.add(key(hv, hw))
+        if s <= j:
+            seg = order[s : j + 1]
+            seg.reverse()
+            order[s : j + 1] = seg
+            pos.update(zip(seg, range(s, j + 1)))
+        else:
+            seg = order[s:] + order[: j + 1]
+            seg.reverse()
+            k = n - s
+            order[s:] = seg[:k]
+            order[: j + 1] = seg[k:]
+            pos.update(zip(seg, chain(range(s, n), range(j + 1))))
         return self
 
     # ---------- integrity / serialization ----------
 
     def check_invariants(self) -> None:
+        """Raise AssertionError unless order, pos and the pseudo registry
+        agree with each other and with the host (checks under python -O)."""
         n = len(self.order)
-        assert sorted(self.order) == list(range(1, n + 1))
-        for i, v in enumerate(self.order):
-            assert self.pos[v] == i
-            assert self.ord(self.succ(v)) == self.ord(v) % n + 1
-        assert self.pseudo == {
-            v for v in self.order if not self.host.has_arc(v, self.succ(v))
-        }
+        if sorted(self.order) != list(range(1, n + 1)):
+            raise AssertionError("order is not a permutation of 1..n")
+        if len(self.pos) != n or any(
+            self.pos.get(v) != i for i, v in enumerate(self.order)
+        ):
+            raise AssertionError("pos does not match order")
+        keys = self.pseudo_keys
+        fresh = self._count_pseudo_keys()
+        if keys != fresh:
+            raise AssertionError(
+                f"pseudo registry {sorted(keys)} != recount {sorted(fresh)}"
+            )
+        vertices = self.pseudo_vertices()
+        if len(keys) != len(vertices):
+            raise AssertionError(
+                f"{len(keys)} pseudo keys for {len(vertices)} pseudo-arc vertices"
+            )
+        has_arc, succ = self.host.has_arc, self.succ
+        if vertices != {v for v in self.order if not has_arc(v, succ(v))}:
+            raise AssertionError("pseudo_vertices() decodes the wrong endpoints")
 
 
 # ---------- module-level operation surface ----------
@@ -328,7 +395,7 @@ def diff_score(t: Tour, m: Move) -> int:
     """DIFF = (host edges among the arcs m creates) - (arc vertices among m's
     vertices).  Higher is better."""
     e_s = sum(1 for u, w in t.new_arcs(m) if t.host.has_arc(u, w))
-    a_s = sum(1 for v in m.verts if v not in t.pseudo)
+    a_s = sum(1 for v in m.verts if t.host.has_arc(v, t.succ(v)))
     return e_s - a_s
 
 

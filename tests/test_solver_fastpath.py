@@ -77,10 +77,10 @@ def test_inline_scoring_matches_move_path(model, n, seed):
                     continue
             if len(verts) == 3:
                 m = Move.cycle3(*verts)
-                got = _cycle3(t.order, t.pos, t.pseudo, adj, *verts)
+                got = _cycle3(t.order, t.pos, adj, *verts)
             else:
                 m = Move.potdt(*verts)
-                got = _potdt(t.order, t.pos, t.pseudo, adj, *verts)
+                got = _potdt(t.order, t.pos, adj, *verts)
             ok, key, diff = _expected(t, m)
             if ok:
                 assert got == (key, m.verts, diff)
@@ -151,7 +151,7 @@ def _path_tour(n, pseudo, chords=()):
     for u, w in chords:
         g.add_edge(u, w)
     t = Tour(g, range(1, n + 1))
-    assert t.pseudo == set(pseudo)
+    assert t.pseudo_vertices() == set(pseudo)
     return t
 
 
@@ -170,7 +170,7 @@ def test_draw_pseudo_is_uniform_on_both_paths(pseudo, exclude):
     by_path = {"rejection": {}, "fallback": {}}
     for seed in range(TRIALS):
         rng = _CountingRandom(seed)
-        v = _draw_pseudo(t, rng, exclude)
+        v = _draw_pseudo(t, t.host.adj, rng, exclude)
         path = by_path["fallback" if rng.calls == 9 else "rejection"]
         path[v] = path.get(v, 0) + 1
     for counts in by_path.values():
@@ -187,7 +187,7 @@ def test_draw_pseudo_is_uniform_on_both_paths(pseudo, exclude):
 def test_draw_pseudo_with_one_candidate_left():
     t = _path_tour(60, {9, 33})
     for seed in range(200):
-        assert _draw_pseudo(t, random.Random(seed), 33) == 9
+        assert _draw_pseudo(t, t.host.adj, random.Random(seed), 33) == 9
 
 
 def test_pick_rotation_is_uniform_over_eligible_vertices():
@@ -207,7 +207,7 @@ def test_pick_rotation_is_uniform_over_eligible_vertices():
     fallback = 0
     for seed in range(TRIALS):
         rng = _CountingRandom(seed)
-        rot = _pick_rotation(t, nbrs, rng)
+        rot = _pick_rotation(t, t.host.adj, nbrs, rng)
         observed[rot] = observed.get(rot, 0) + 1
         fallback += rng.shuffles
     assert set(observed) <= set(law)
@@ -221,4 +221,4 @@ def test_pick_rotation_without_eligible_vertex():
     t = _path_tour(12, {3, 8})
     nbrs = {v: sorted(ws) for v, ws in t.host.adj.items()}
     for seed in range(50):
-        assert _pick_rotation(t, nbrs, random.Random(seed)) is None
+        assert _pick_rotation(t, t.host.adj, nbrs, random.Random(seed)) is None
