@@ -345,7 +345,10 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
                 rep.pseudo_trajectory.append(len(t.pseudo_keys))
                 break
             after = len(t.pseudo_keys)
-            assert after <= before, "pseudo count increased in graph mode"
+            if after > before:
+                raise AssertionError(
+                    f"pseudo count increased in graph mode: {before} -> {after}"
+                )
         cur = len(t.pseudo_keys)
         if cur < best_pseudo:
             best_pseudo = cur

@@ -9,13 +9,27 @@ committing a composite only when its net weight strictly improves.  Since
 every accepted step improves, the final tour is the best one seen.
 
 Every gain is computed from the arcs a step changes, never by re-summing
-the tour.  A candidate costs O(1) for its move's delta plus the scan for its
-follow-up rotation(s) (O(n) per scanned vertex at worst, usually far less),
-done on the tour's successor/predecessor arrays with the moved arcs
-overridden (a POTDT's second rotation is scanned on arrays rebuilt after
-its first, in O(n)); a tour is built (copy, apply, rotate) only for the
-candidate that is committed.  The running weight is updated by each accepted delta
+the tour.  A scored candidate costs O(1) for its move's delta plus the scan
+for its follow-up rotation(s) (O(n) per scanned vertex at worst, usually far
+less), done on the tour's successor/predecessor arrays with the moved arcs
+overridden; a tour is built (copy, apply, rotate) only for the candidate
+that is committed.  The running weight is updated by each accepted delta
 and checked against tour_weight once, at the end of tsp_solve.
+
+Most candidates are not scored.  Each composite search first tabulates, for
+every x and h, the least change M[x][h] - w[x][h] of a rotation (x, y) on a
+tour where x's successor is h and y's is unchanged (n^2 minima over n terms,
+in C-level min/map).  A 3-cycle is scored only if its move delta d0 plus the
+least of those entries and the exact terms for its moved vertices can be
+negative.  A POTDT's first rotation is always scanned; its second only if
+the same kind of bound on the rotated tour (a table over both directions of
+the current arcs, plus its move and rotation arcs exactly) can still make
+the total negative.  Since the bounds are true lower bounds, every skipped
+candidate would have been rejected anyway, so the accepted steps, the tour
+and the trace are those of a full scan.  Every random POTDT draw is still
+made: the later draws depend on it.  The bounds only compare sums of
+weights, so they run on the weights times their common denominator, as
+ints; candidates that are scored are scored in the exact weights.
 
 Weights are exact (int or Fraction) so the strict comparisons never suffer
 floating-point noise.  File format: line 1 "w n", then n rows of n numbers;
@@ -24,8 +38,10 @@ symmetry and a zero diagonal are validated on read.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional, Sequence, Union
 
 from .graphs import ParseError, complete_graph
@@ -213,12 +229,17 @@ def _score(
     ov: dict[int, int],
     xs,
     rotations: int,
-) -> tuple[Weight, list[tuple[int, int]]]:
+    cut: Optional[tuple[_Table, list[list[int]], int]] = None,
+) -> Optional[tuple[Weight, list[tuple[int, int]]]]:
     """Net weight change of a move (given by its overlay ov) followed by up
     to `rotations` first good rotations from xs, and those rotations.
 
     succ and pred describe the current tour; they are rewired to the
-    post-move tour for the scan and restored before returning.
+    post-move tour for the scan and restored before returning.  cut, for
+    two rotations, is (wi, M2, scale) with wi, scale from _scaled(w) and
+    M2 = _rotation_table(wi, succ, pred): the second rotation is then
+    scanned only if a lower bound on it lets the delta go negative, and
+    otherwise _score returns None.
     """
     delta = _move_delta(w, ov, succ)
     old = [(v, succ[v]) for v in ov]
@@ -235,9 +256,19 @@ def _score(
         rots.append((x, y))
         if k + 1 < rotations:
             s, p = _rotated_links(s, p, x, y)
+            if cut is not None:
+                wi, M2, scale = cut
+                # every arc of the rotated tour that M2 does not cover is a
+                # move or rotation arc, so it leaves a vertex of ov
+                heads = [(v, s[v]) for v in xs]
+                arcs = heads + [(v, s[v]) for v in ov.values()]
+                floor = _rotation_floor(wi, M2, heads, arcs)
+                if delta * scale + min(floor, 0) >= 0:
+                    rots = None
+                    break
     for v, h in old:
         succ[v], pred[h] = h, v
-    return delta, rots
+    return None if rots is None else (delta, rots)
 
 
 def _rotation_sweep(w: _Table, t: Tour, weight: Weight, trace: list) -> Weight:
@@ -263,19 +294,127 @@ def _rotation_sweep(w: _Table, t: Tour, weight: Weight, trace: list) -> Weight:
     return weight
 
 
+def _scaled(w: _Table) -> tuple[_Table, int]:
+    """(wi, scale): the table w times the least common denominator of its
+    entries, as ints.  The skip bounds only compare sums of weights, so on
+    wi they make the same decisions as on w, in int arithmetic."""
+    scale = math.lcm(*(x.denominator for row in w for x in row))
+    if scale == 1:
+        return w, 1
+    return [[int(x * scale) for x in row] for row in w], scale
+
+
+def _rotation_table(w: _Table, *nexts: list[int]) -> list[list[Weight]]:
+    """T with T[x][h] = min of w[x][y] + w[h][nxt y] - w[y][nxt y] over
+    every vertex y and every successor array nxt in nexts.
+
+    On a tour where x's successor is h, the rotation (x, y) changes the
+    weight by w[x][y] + w[h][hy] - w[y][hy] - w[x][h], with hy the
+    successor of y.  So T[x][h] - w[x][h] bounds it from below whenever
+    y -> hy is an arc y -> nxt y.  Built with C-level min and map: n^2
+    entries of n terms per array."""
+    verts = range(1, len(nexts[0]))
+    hs = [nxt[y] for nxt in nexts for y in verts]
+    arcs = [w[y][h] for y, h in zip([*verts] * len(nexts), hs)]
+    cols = [list(map(sub, map(w[h].__getitem__, hs), arcs)) for h in verts]
+    return [[]] + [
+        [0, *(min(map(add, row, col)) for col in cols)]
+        for row in (w[x][1:] * len(nexts) for x in verts)
+    ]
+
+
+def _rotation_floor(
+    w: _Table,
+    T: list[list[Weight]],
+    heads,
+    arcs: list[tuple[int, int]],
+) -> Weight:
+    """A lower bound on the delta of every rotation (x, y) with x -> h in
+    heads, on a tour whose arcs y -> hy are each covered by the table T
+    (see _rotation_table) or listed in arcs."""
+    floor = None
+    for x, h in heads:
+        low = T[x][h]
+        wx, wh = w[x], w[h]
+        for y, hy in arcs:
+            if y != x:
+                v = wx[y] + wh[hy] - w[y][hy]
+                if v < low:
+                    low = v
+        low -= wx[h]
+        if floor is None or low < floor:
+            floor = low
+    return floor
+
+
+def _cycle3_open(
+    w: _Table,
+    succ: list[int],
+    arc: list[Weight],
+    M: list[list[Weight]],
+    rel: dict[int, int],
+    a: int,
+    b: int,
+):
+    """The c, in label order, that make (a b c) admissible (rel[b] < rel[c])
+    and whose composite _score might find improving: c is left out only
+    when the move's delta d0 >= 0 and no first rotation can gain d0.
+
+    The first rotation is at some x in {a, b, c}, whose new successor is
+    hx.  If y kept its successor, the rotation's delta is at least
+    M[x][hx] - w[x][hx].  If y is moved too, it is evaluated exactly; the
+    rotation (x, y) removes and adds the same arcs as (y, x), so each pair
+    of moved vertices is one term."""
+    rb = rel[b]
+    sa, sb = succ[a], succ[b]
+    wa, wb, wsb = w[a], w[b], w[sb]
+    ma, mb = M[a][sb], M[b]
+    a_sb = wa[sb]
+    base = a_sb - arc[a] - arc[b]
+    for c in range(1, len(succ)):
+        if rel[c] <= rb:
+            continue
+        sc = succ[c]
+        b_sc, c_sa = wb[sc], w[c][sa]
+        d0 = base + b_sc + c_sa - arc[c]
+        # a rotation at x can make the composite negative only if its
+        # delta + w[x][hx] is below w[x][hx] - d0
+        ta, tb, tc = a_sb - d0, b_sc - d0, c_sa - d0
+        if (
+            d0 < 0
+            or ma < ta
+            or mb[sc] < tb
+            or M[c][sa] < tc
+            or wa[b] + wsb[sc] - b_sc < ta
+            or wa[c] + wsb[sa] - c_sa < ta
+            or wb[c] + w[sc][sa] - c_sa < tb
+        ):
+            yield c
+
+
 def _good_composite(
     w: _Table,
+    wi: _Table,
+    scale: int,
     t: Tour,
     rng: random.Random,
     potdt_samples: int,
 ) -> Optional[tuple[Tour, Weight]]:
     """One strictly improving composite: an admissible move followed by up
     to one (3-cycle) or two (POTDT) good rotations, committed atomically.
-    Returns the new tour and its weight change."""
+    Returns the new tour and its weight change.
+
+    Rotations are only scanned where a lower bound on the composite's delta
+    is negative (_cycle3_open for 3-cycles, _score's cut for a POTDT's
+    second rotation), computed on wi, scale = _scaled(w).  The skipped
+    candidates would be rejected anyway, so the first accepted candidate is
+    the one a full scan finds."""
     n = t.n
     verts = range(1, n + 1)
     succ, pred = _links(t)
     pos = t.pos
+    arc = [wi[v][succ[v]] for v in range(n + 1)]
+    M = _rotation_table(wi, succ)
 
     def commit(m: Move, rots: list[tuple[int, int]]) -> Tour:
         t2 = t.copy().apply(m)
@@ -291,21 +430,21 @@ def _good_composite(
         for b in verts:
             if b == a:
                 continue
-            rb = rel[b]
-            for c in verts:
-                if rel[c] <= rb:
-                    continue
+            for c in _cycle3_open(wi, succ, arc, M, rel, a, b):
                 ov = {a: succ[b], b: succ[c], c: succ[a]}
                 delta, rots = _score(w, succ, pred, ov, {a, b, c}, 1)
                 if delta < 0:
                     return commit(Move.cycle3(a, b, c), rots), delta
+    # a rotated tour runs some arcs of this one backwards
+    cut = (wi, _rotation_table(wi, succ, pred), scale)
     for _ in range(potdt_samples):
         a, c, b, d = rng.sample(verts, 4)
         if not t.interlace(a, c, b, d):
             continue
         ov = {a: succ[c], c: succ[a], b: succ[d], d: succ[b]}
-        delta, rots = _score(w, succ, pred, ov, {a, c, b, d}, 2)
-        if delta < 0:
+        got = _score(w, succ, pred, ov, {a, c, b, d}, 2, cut)
+        if got is not None and got[0] < 0:
+            delta, rots = got
             return commit(Move.potdt(a, c, b, d), rots), delta
     return None
 
@@ -333,6 +472,7 @@ def tsp_solve(
         raise ValueError("tsp_solve requires int or Fraction weights")
     # weights indexed by vertex labels: row and column 0 are padding
     w = [[0] * (n + 1)] + [[0, *row] for row in wm.rows]
+    wi, scale = _scaled(w)
     rng = random.Random(seed)
     host = complete_graph(n)
     verts = list(range(1, n + 1))
@@ -342,7 +482,7 @@ def tsp_solve(
     trace: list = [("start", None, weight)]
     weight = _rotation_sweep(w, t, weight, trace)
     for _ in range(budget):
-        got = _good_composite(w, t, rng, potdt_samples=4 * n * n)
+        got = _good_composite(w, wi, scale, t, rng, potdt_samples=4 * n * n)
         if got is None:
             break
         t, delta = got
@@ -353,5 +493,6 @@ def tsp_solve(
     # its weight as tour_weight sums it: an int whenever every arc weight on
     # the tour is an int, as the running sum need not be.
     final = tour_weight(wm, t)
-    assert final == weight, "running weight drifted"
+    if final != weight:
+        raise AssertionError(f"running weight drifted: {weight} != {final}")
     return t.sequence_from(1), final, trace

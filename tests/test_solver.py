@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +158,31 @@ def test_single_budget_knob():
 
 def test_verify_circuit_is_the_oracle_one():
     assert verify_circuit is oracle_verify_circuit
+
+
+def test_pseudo_count_check_runs_under_optimize():
+    # a rotation picker that also inflates the pseudo registry breaks the
+    # graph-mode invariant; the check must fire under python -O too
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from hamperm import solver\n"
+        "from hamperm.graphs import gen_boll_graph\n"
+        "orig = solver._pick_rotation\n"
+        "def inflating(t, adj, nbrs, rng):\n"
+        "    rot = orig(t, adj, nbrs, rng)\n"
+        "    t.pseudo_keys.update(range(-t.n - 5, 0))\n"
+        "    return rot\n"
+        "solver._pick_rotation = inflating\n"
+        "g, _ = gen_boll_graph(60, 1)\n"
+        "try:\n"
+        "    solver.solve_graph(g, solver.SolveParams(seed=1))\n"
+        "except AssertionError as exc:\n"
+        "    raise SystemExit(0 if 'pseudo count increased' in str(exc) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0

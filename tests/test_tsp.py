@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,54 @@ def test_tsp_matches_reference(wm):
         assert got == want
         # the reported weight has the reference's type too (int vs Fraction)
         assert type(got[1]) is type(want[1])
+
+
+def _perfbench_style_cases():
+    """Symmetric integer weights in 1..1000 at n = 30, 36 and 40: larger,
+    better-optimized tours than REFERENCE_CASES, where most composite
+    candidates are skipped by their lower bound."""
+    cases = []
+    for n in (30, 36, 40):
+        for k in range(2):
+            rng = random.Random(f"tsp-bound/{n}/{k}")
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.randint(1, 1000)
+            cases.append((f"int1000-n{n}-{k}", WeightMatrix(rows), 100 + k))
+    return cases
+
+
+PERFBENCH_STYLE_CASES = _perfbench_style_cases()
+
+
+@pytest.mark.parametrize(
+    "wm,seed",
+    [(wm, seed) for _, wm, seed in PERFBENCH_STYLE_CASES],
+    ids=[k for k, _, _ in PERFBENCH_STYLE_CASES],
+)
+def test_tsp_matches_reference_at_perfbench_sizes(wm, seed):
+    assert tsp_solve(wm, seed) == tsp_reference.tsp_solve(wm, seed)
+
+
+def test_weight_drift_check_runs_under_optimize():
+    # a rotation sweep that misreports its weight must be caught by the
+    # final recount, under python -O too
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from hamperm import tsp\n"
+        "orig = tsp._rotation_sweep\n"
+        "tsp._rotation_sweep = lambda *args: orig(*args) + 1\n"
+        f"wm = tsp.WeightMatrix({FOUR_CITY!r})\n"
+        "try:\n"
+        "    tsp.tsp_solve(wm, seed=0)\n"
+        "except AssertionError as exc:\n"
+        "    raise SystemExit(0 if 'running weight drifted' in str(exc) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0

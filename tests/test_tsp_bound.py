@@ -1,0 +1,187 @@
+"""The lower bounds that let tsp's composite search skip candidates.
+
+tsp_solve scores a 3-cycle only when _cycle3_open lets it through, and
+scans a POTDT's second rotation only when _score's cut allows a negative
+delta; both run on the weights scaled to ints by _scaled.  Skipping is
+exact only if these are true lower bounds: on seeded random tours (int,
+Fraction and tied weights, n = 5..40, both shuffled and 2-opt optimal),
+every skipped 3-cycle and every cut POTDT must have an exact composite
+delta >= 0.  The rotation tables are checked against a brute-force minimum.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hamperm import tsp
+from hamperm.graphs import complete_graph
+from hamperm.tour import Tour
+
+
+def _table(n, rng, kind):
+    """A padded weight table w[u][v] (row and column 0 unused)."""
+    w = [[0] * (n + 1) for _ in range(n + 1)]
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if kind == "int":
+                x = rng.randint(1, 1000)
+            elif kind == "fraction":
+                x = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+            else:
+                x = rng.randint(1, 3)
+            w[u][v] = w[v][u] = x
+    return w
+
+
+def _tours(seed):
+    """(w, tour) pairs: per weight kind and n, a shuffled tour and the same
+    tour after a full 2-opt sweep (where most candidates are hopeless)."""
+    rng = random.Random(seed)
+    for kind in ("int", "fraction", "ties"):
+        for n in (5, 8, 13, 21):
+            w = _table(n, rng, kind)
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            t = Tour(complete_graph(n), order)
+            yield w, t.copy()
+            tsp._rotation_sweep(w, t, 0, [])
+            yield w, t
+
+
+def _brute_table(w, nexts, n):
+    verts = range(1, n + 1)
+    return [[]] + [
+        [0]
+        + [
+            min(w[x][y] + w[h][nxt[y]] - w[y][nxt[y]] for nxt in nexts for y in verts)
+            for h in verts
+        ]
+        for x in verts
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rotation_table_is_the_brute_force_minimum(seed):
+    for w, t in _tours(seed):
+        succ, pred = tsp._links(t)
+        for nexts in ((succ,), (pred,), (succ, pred)):
+            assert tsp._rotation_table(w, *nexts) == _brute_table(w, nexts, t.n)
+
+
+def test_scaled_weights_are_ints_in_proportion():
+    for w, _ in _tours(1):
+        wi, scale = tsp._scaled(w)
+        assert all(type(x) is int for row in wi for x in row)
+        assert all(x * scale == y for r, q in zip(w, wi) for x, y in zip(r, q))
+        if all(type(x) is int for row in w for x in row):
+            assert (wi, scale) == (w, 1)
+        else:
+            assert 1 < scale <= 420  # denominators 1..7
+
+
+def _moved(succ, pred, ov):
+    """Successor and predecessor arrays after the move with overlay ov."""
+    s, p = succ[:], pred[:]
+    for v, h in ov.items():
+        s[v], p[h] = h, v
+    return s, p
+
+
+def _rotations(w, s, p, xs):
+    """The delta of every rotation (x, y) with x in xs on the tour s/p."""
+    for x in xs:
+        for y in range(1, len(s)):
+            if y not in (x, s[x], p[x]):
+                yield tsp._rotation_delta(w, x, s[x], y, s[y])
+
+
+def _check_cycle3(w, t, tally):
+    n = t.n
+    succ, pred = tsp._links(t)
+    wi, _ = tsp._scaled(w)
+    arc = [wi[v][succ[v]] for v in range(n + 1)]
+    M = tsp._rotation_table(wi, succ)
+    for a in range(1, n + 1):
+        pa = t.pos[a]
+        rel = {v: (i - pa) % n for v, i in t.pos.items()}
+        for b in range(1, n + 1):
+            if b == a:
+                continue
+            admissible = [c for c in range(1, n + 1) if rel[c] > rel[b]]
+            kept = list(tsp._cycle3_open(wi, succ, arc, M, rel, a, b))
+            assert set(kept) <= set(admissible)
+            assert kept == sorted(kept)
+            for c in admissible:
+                ov = {a: succ[b], b: succ[c], c: succ[a]}
+                delta, _ = tsp._score(w, succ, pred, ov, {a, b, c}, 1)
+                if c in kept:
+                    tally["kept"] += 1
+                else:
+                    tally["skipped"] += 1
+                    assert delta >= 0, (a, b, c, delta)
+                    # the bound covers every rotation, not only the first
+                    # good one
+                    d0 = tsp._move_delta(w, ov, succ)
+                    s, p = _moved(succ, pred, ov)
+                    assert d0 + min(_rotations(w, s, p, ov)) >= 0, (a, b, c)
+                tally["improving"] += delta < 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_skipped_3cycles_cannot_improve(seed):
+    tally = {"kept": 0, "skipped": 0, "improving": 0}
+    for w, t in _tours(seed):
+        _check_cycle3(w, t, tally)
+    # the bound is neither vacuous nor a filter that keeps everything
+    assert tally["skipped"] > 0 and tally["improving"] > 0
+
+
+def test_skipped_3cycles_cannot_improve_at_n40():
+    rng = random.Random(40)
+    w = _table(40, rng, "int")
+    order = list(range(1, 41))
+    rng.shuffle(order)
+    t = Tour(complete_graph(40), order)
+    tsp._rotation_sweep(w, t, 0, [])
+    tally = {"kept": 0, "skipped": 0, "improving": 0}
+    _check_cycle3(w, t, tally)
+    assert tally["skipped"] > tally["kept"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cut_potdts_cannot_improve(seed):
+    rng = random.Random(seed)
+    improving = 0
+    cut = {False: 0, True: 0}  # by whether the weights were scaled
+    for w, t in _tours(seed):
+        n = t.n
+        if n < 8:
+            continue
+        succ, pred = tsp._links(t)
+        wi, scale = tsp._scaled(w)
+        bound = (wi, tsp._rotation_table(wi, succ, pred), scale)
+        for _ in range(60 * n):
+            a, c, b, d = rng.sample(range(1, n + 1), 4)
+            if not t.interlace(a, c, b, d):
+                continue
+            ov = {a: succ[c], c: succ[a], b: succ[d], d: succ[b]}
+            xs = {a, c, b, d}
+            exact = tsp._score(w, succ, pred, ov, xs, 2)
+            got = tsp._score(w, succ, pred, ov, xs, 2, bound)
+            # _score puts the tour's arrays back as it found them
+            assert (succ, pred) == tsp._links(t)
+            improving += exact[0] < 0
+            if got is not None:
+                assert got == exact
+                continue
+            # the second scan was cut: no second rotation, not only the
+            # first good one, can make the composite negative
+            cut[scale > 1] += 1
+            assert exact[0] >= 0, (a, c, b, d, exact)
+            d01, (rot,) = tsp._score(w, succ, pred, ov, xs, 1)
+            s, p = tsp._rotated_links(*_moved(succ, pred, ov), *rot)
+            assert d01 + min(0, *_rotations(w, s, p, xs)) >= 0, (a, c, b, d)
+    assert improving > 0
+    # the cut fires on int and on Fraction weights alike
+    assert cut[False] > 0 and cut[True] > 0
