@@ -24,9 +24,7 @@ when 8 uniform draws miss.  Each candidate is a (key, vertices, DIFF) tuple
 scored from tour positions and the 3-4 arcs it creates; only the applied one
 becomes a Move.  The sorted neighbour lists are built once per solve.  A
 move costs a few C-level list slices on the array Tour, a rotation the
-reversal of its segment in place, each plus O(1) host lookups.  The solver
-keeps no abbreviation of the tour (tour.Abbreviation is the paper's run
-notation, for goldens and rendering).
+reversal of its segment in place, each plus O(1) host lookups.
 
 Degree-2 chains are contracted away first: the search runs on
 contract(g).condensed, where each chain keeps its endpoints and its

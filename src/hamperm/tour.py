@@ -38,7 +38,7 @@ or the 2 arcs a rotation creates, are tested against the host.
 An Abbreviation is the paper's notation for a tour: the runs of base-tour
 ordinals it traverses, "a … b" ascending and "a --- b" descending.  It is a
 view of a Tour, moved by the same apply and rotate, and serves the goldens
-and rendering; the solver does not keep one.
+and rendering.
 """
 
 from __future__ import annotations
@@ -242,14 +242,6 @@ class Tour:
         a, c, b, d = m.verts
         return self.interlace(a, c, b, d)
 
-    def overlay(self, m: Move) -> dict[int, int]:
-        """New successors the move installs (old arcs read before rewiring)."""
-        p = m.perm()
-        return {v: self.succ(p[v]) for v in p}
-
-    def new_arcs(self, m: Move) -> list[tuple[int, int]]:
-        return list(self.overlay(m).items())
-
     def apply(self, m: Move) -> "Tour":
         """Apply an admissible move in place; returns self.
 
@@ -389,21 +381,6 @@ def apply_move(t: Tour, m: Move) -> Tour:
 
 def rotate(t: Tour, v: int, w: int) -> Tour:
     return t.rotate(v, w)
-
-
-def diff_score(t: Tour, m: Move) -> int:
-    """DIFF = (host edges among the arcs m creates) - (arc vertices among m's
-    vertices).  Higher is better."""
-    e_s = sum(1 for u, w in t.new_arcs(m) if t.host.has_arc(u, w))
-    a_s = sum(1 for v in m.verts if t.host.has_arc(v, t.succ(v)))
-    return e_s - a_s
-
-
-def passes_pseudo_filter(t: Tour, m: Move) -> bool:
-    """Legality filter used by the solver: at most one of the arcs a move
-    creates may be a pseudo-arc."""
-    bad = sum(1 for u, w in t.new_arcs(m) if not t.host.has_arc(u, w))
-    return bad <= 1
 
 
 # ---------- abbreviations ----------

@@ -8,13 +8,20 @@ moves composed with up to one (3-cycle) or two (POTDT) follow-up rotations,
 committing a composite only when its net weight strictly improves.  Since
 every accepted step improves, the final tour is the best one seen.
 
+A tour is a pair of successor/predecessor arrays indexed by vertex, with no
+host graph: every pair of cities is an edge, so no arc is a pseudo-arc.  A
+move h' = h s writes its new successors (its overlay) into the arrays; a
+rotation reverses the successor links of one segment.  Positions, needed to
+tell which moves are admissible, are read off by one walk of the successors
+per composite search, and the result is the walk from vertex 1.
+
 Every gain is computed from the arcs a step changes, never by re-summing
 the tour.  A scored candidate costs O(1) for its move's delta plus the scan
 for its follow-up rotation(s) (O(n) per scanned vertex at worst, usually far
-less), done on the tour's successor/predecessor arrays with the moved arcs
-overridden; a tour is built (copy, apply, rotate) only for the candidate
-that is committed.  The running weight is updated by each accepted delta
-and checked against tour_weight once, at the end of tsp_solve.
+less), done on the arrays with the moved arcs overridden; new arrays are
+built only for the candidate that is committed.  The running weight is
+updated by each accepted delta and checked against tour_weight once, at the
+end of tsp_solve.
 
 Most candidates are not scored.  Each composite search first tabulates, for
 every x and h, the least change M[x][h] - w[x][h] of a rotation (x, y) on a
@@ -44,8 +51,8 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Optional, Sequence, Union
 
-from .graphs import ParseError, complete_graph
-from .tour import InadmissibleMove, Move, Tour
+from .graphs import ParseError
+from .tour import Tour
 
 Weight = Union[int, Fraction]
 # A weight table indexed by vertex labels: w[u][v] is the weight of u-v.
@@ -80,7 +87,7 @@ def _parse_number(tok: str, lineno: int) -> Weight:
     except ValueError:
         try:
             return Fraction(tok)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad number {tok!r}", lineno) from None
 
 
@@ -147,36 +154,14 @@ def _move_delta(w: _Table, ov: dict[int, int], succ) -> Weight:
     return new - old
 
 
-def _rows_of(wm: WeightMatrix, verts) -> _Table:
-    """The rows of `verts` as a table indexed by vertex labels."""
-    return {v: [0, *wm.rows[v - 1]] for v in verts}
-
-
-def is_good_rotation(wm: WeightMatrix, t: Tour, x: int, y: int) -> bool:
-    """Strict 2-opt gain: w[x,y] + w[H(x),H(y)] < w[x,H(x)] + w[y,H(y)]."""
-    if y in (x, t.succ(x), t.pred(x)):
-        raise ValueError(f"{x} and {y} are adjacent on the tour")
-    hx, hy = t.succ(x), t.succ(y)
-    return _rotation_delta(_rows_of(wm, (x, hx, y)), x, hx, y, hy) < 0
-
-
-def is_good_set(wm: WeightMatrix, t: Tour, m: Move) -> bool:
-    """Created arcs strictly outweighed by the arcs they replace."""
-    if not t.admissible(m):
-        raise InadmissibleMove(f"{m} is not admissible on the tour")
-    ov = t.overlay(m)
-    succ = {v: t.succ(v) for v in ov}
-    return _move_delta(_rows_of(wm, ov), ov, succ) < 0
-
-
 # --------------------------------------------------------------------------
 # local search
 # --------------------------------------------------------------------------
 
 
-def _links(t: Tour) -> tuple[list[int], list[int]]:
-    """Successor and predecessor arrays of t, indexed by vertex."""
-    order = t.order
+def _links(order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Successor and predecessor arrays, indexed by vertex, of the tour that
+    visits order cyclically."""
     succ = [0] * (len(order) + 1)
     pred = [0] * (len(order) + 1)
     prev = order[-1]
@@ -185,6 +170,16 @@ def _links(t: Tour) -> tuple[list[int], list[int]]:
         pred[v] = prev
         prev = v
     return succ, pred
+
+
+def _walk(succ: list[int]) -> list[int]:
+    """The tour with successor array succ, as a list starting at vertex 1."""
+    order = [1]
+    v = succ[1]
+    while v != 1:
+        order.append(v)
+        v = succ[v]
+    return order
 
 
 def _first_good_rotation(
@@ -271,11 +266,12 @@ def _score(
     return None if rots is None else (delta, rots)
 
 
-def _rotation_sweep(w: _Table, t: Tour, weight: Weight, trace: list) -> Weight:
+def _rotation_sweep(
+    w: _Table, succ: list[int], pred: list[int], weight: Weight, trace: list
+) -> tuple[list[int], list[int], Weight]:
     """Apply good rotations until none exists (a full 2-opt pass); returns
-    the new weight."""
-    verts = range(1, t.n + 1)
-    succ, pred = _links(t)
+    the new arrays and weight."""
+    verts = range(1, len(succ))
     improved = True
     while improved:
         improved = False
@@ -286,12 +282,11 @@ def _rotation_sweep(w: _Table, t: Tour, weight: Weight, trace: list) -> Weight:
                     continue
                 d = _rotation_delta(w, x, hx, y, succ[y])
                 if d < 0:
-                    t.rotate(x, y)
-                    succ, pred = _links(t)
+                    succ, pred = _rotated_links(succ, pred, x, y)
                     weight += d
                     trace.append(("rotation", (x, y), weight))
                     improved = True
-    return weight
+    return succ, pred, weight
 
 
 def _scaled(w: _Table) -> tuple[_Table, int]:
@@ -352,7 +347,7 @@ def _cycle3_open(
     succ: list[int],
     arc: list[Weight],
     M: list[list[Weight]],
-    rel: dict[int, int],
+    rel: list[int],
     a: int,
     b: int,
 ):
@@ -392,41 +387,52 @@ def _cycle3_open(
             yield c
 
 
+def _commit(
+    succ: list[int],
+    pred: list[int],
+    ov: dict[int, int],
+    rots: list[tuple[int, int]],
+) -> tuple[list[int], list[int]]:
+    """New arrays for the tour after the move with overlay ov and then the
+    rotations rots; succ and pred are left as they are."""
+    s, p = succ[:], pred[:]
+    for v, h in ov.items():
+        s[v], p[h] = h, v
+    for x, y in rots:
+        s, p = _rotated_links(s, p, x, y)
+    return s, p
+
+
 def _good_composite(
     w: _Table,
     wi: _Table,
     scale: int,
-    t: Tour,
+    succ: list[int],
+    pred: list[int],
     rng: random.Random,
     potdt_samples: int,
-) -> Optional[tuple[Tour, Weight]]:
+) -> Optional[tuple[list[int], list[int], Weight]]:
     """One strictly improving composite: an admissible move followed by up
     to one (3-cycle) or two (POTDT) good rotations, committed atomically.
-    Returns the new tour and its weight change.
+    Returns the new tour's arrays and its weight change.
 
     Rotations are only scanned where a lower bound on the composite's delta
     is negative (_cycle3_open for 3-cycles, _score's cut for a POTDT's
     second rotation), computed on wi, scale = _scaled(w).  The skipped
     candidates would be rejected anyway, so the first accepted candidate is
     the one a full scan finds."""
-    n = t.n
+    n = len(succ) - 1
     verts = range(1, n + 1)
-    succ, pred = _links(t)
-    pos = t.pos
+    pos = [0] * (n + 1)
+    for i, v in enumerate(_walk(succ)):
+        pos[v] = i
     arc = [wi[v][succ[v]] for v in range(n + 1)]
     M = _rotation_table(wi, succ)
-
-    def commit(m: Move, rots: list[tuple[int, int]]) -> Tour:
-        t2 = t.copy().apply(m)
-        for x, y in rots:
-            t2.rotate(x, y)
-        return t2
-
     for a in verts:
         pa = pos[a]
         # rel[v]: clockwise distance from a to v; (a b c) is admissible
         # iff 0 < rel[b] < rel[c]
-        rel = {v: (i - pa) % n for v, i in pos.items()}
+        rel = [(i - pa) % n for i in pos]
         for b in verts:
             if b == a:
                 continue
@@ -434,18 +440,21 @@ def _good_composite(
                 ov = {a: succ[b], b: succ[c], c: succ[a]}
                 delta, rots = _score(w, succ, pred, ov, {a, b, c}, 1)
                 if delta < 0:
-                    return commit(Move.cycle3(a, b, c), rots), delta
+                    return (*_commit(succ, pred, ov, rots), delta)
     # a rotated tour runs some arcs of this one backwards
     cut = (wi, _rotation_table(wi, succ, pred), scale)
     for _ in range(potdt_samples):
         a, c, b, d = rng.sample(verts, 4)
-        if not t.interlace(a, c, b, d):
+        # (a c)(b d) is admissible iff the chords [a,c] and [b,d] interlace
+        pa = pos[a]
+        qc = (pos[c] - pa) % n
+        if ((pos[b] - pa) % n < qc) == ((pos[d] - pa) % n < qc):
             continue
         ov = {a: succ[c], c: succ[a], b: succ[d], d: succ[b]}
         got = _score(w, succ, pred, ov, {a, c, b, d}, 2, cut)
         if got is not None and got[0] < 0:
             delta, rots = got
-            return commit(Move.potdt(a, c, b, d), rots), delta
+            return (*_commit(succ, pred, ov, rots), delta)
     return None
 
 
@@ -474,25 +483,26 @@ def tsp_solve(
     w = [[0] * (n + 1)] + [[0, *row] for row in wm.rows]
     wi, scale = _scaled(w)
     rng = random.Random(seed)
-    host = complete_graph(n)
-    verts = list(range(1, n + 1))
-    rng.shuffle(verts)
-    t = Tour(host, verts)
-    weight = tour_weight(wm, t)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    weight = tour_weight(wm, order)
     trace: list = [("start", None, weight)]
-    weight = _rotation_sweep(w, t, weight, trace)
+    succ, pred, weight = _rotation_sweep(w, *_links(order), weight, trace)
     for _ in range(budget):
-        got = _good_composite(w, wi, scale, t, rng, potdt_samples=4 * n * n)
+        got = _good_composite(
+            w, wi, scale, succ, pred, rng, potdt_samples=4 * n * n
+        )
         if got is None:
             break
-        t, delta = got
+        succ, pred, delta = got
         weight += delta
         trace.append(("composite", None, weight))
-        weight = _rotation_sweep(w, t, weight, trace)
-    # Every accepted step strictly improves, so the best tour is t.  Return
-    # its weight as tour_weight sums it: an int whenever every arc weight on
-    # the tour is an int, as the running sum need not be.
-    final = tour_weight(wm, t)
+        succ, pred, weight = _rotation_sweep(w, succ, pred, weight, trace)
+    # Every accepted step strictly improves, so the best tour is the last.
+    # Return its weight as tour_weight sums it: an int whenever every arc
+    # weight on the tour is an int, as the running sum need not be.
+    tour = _walk(succ)
+    final = tour_weight(wm, tour)
     if final != weight:
         raise AssertionError(f"running weight drifted: {weight} != {final}")
-    return t.sequence_from(1), final, trace
+    return tour, final, trace

@@ -224,6 +224,14 @@ def test_tsp_negative_budget_exits_1(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_tsp_zero_denominator_exits_1(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("w 4\n0 1 2 5\n1 0 1/0 2\n2 1/0 0 1\n5 2 1 0\n")
+    code, stdout, err = run(capsys, ["tsp", str(path)])
+    assert code == 1 and stdout == ""
+    assert "error: line 3: bad number '1/0'" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["frobnicate"])[0] == 1
     assert run(capsys, ["gen", "--model", "nope", "--n", "5", "--out", "x"])[0] == 1

@@ -1,9 +1,10 @@
 """The solver's inline candidate scoring and its pseudo-vertex draws.
 
 _cycle3/_potdt must agree with the Move/Tour path they replace
-(Tour.admissible, passes_pseudo_filter, diff_score, Move.canonical_key) on
-every sampled triple and quadruple; _draw_pseudo and _pick_rotation must
-draw uniformly from the sets the paper's search draws from.
+(Tour.admissible, Move.canonical_key, and the passes_pseudo_filter and
+diff_score kept in solver_reference) on every sampled triple and
+quadruple; _draw_pseudo and _pick_rotation must draw uniformly from the
+sets the paper's search draws from.
 """
 
 import math
@@ -11,6 +12,7 @@ import random
 
 import pytest
 
+import solver_reference
 from hamperm.graphs import (
     Graph,
     complete_graph,
@@ -20,7 +22,7 @@ from hamperm.graphs import (
     to_undirected,
 )
 from hamperm.solver import _cycle3, _draw_pseudo, _pick_rotation, _potdt
-from hamperm.tour import Move, Tour, diff_score, passes_pseudo_filter
+from hamperm.tour import Move, Tour
 
 
 def _host(model, n, seed):
@@ -35,8 +37,9 @@ def _host(model, n, seed):
 
 def _expected(t, m):
     """(accepted, key, DIFF) by the Move/Tour path."""
-    ok = t.admissible(m) and passes_pseudo_filter(t, m)
-    return ok, m.canonical_key(), diff_score(t, m)
+    rt = solver_reference.Tour(t.host, t.order)
+    ok = t.admissible(m) and solver_reference.passes_pseudo_filter(rt, m)
+    return ok, m.canonical_key(), solver_reference.diff_score(rt, m)
 
 
 FAST_CASES = [

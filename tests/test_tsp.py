@@ -9,12 +9,11 @@ from pathlib import Path
 import pytest
 
 import tsp_reference
+from hamperm import tsp
 from hamperm.graphs import ParseError, complete_graph
-from hamperm.tour import InadmissibleMove, Move, Tour
+from hamperm.tour import Move, Tour
 from hamperm.tsp import (
     WeightMatrix,
-    is_good_rotation,
-    is_good_set,
     read_weights,
     tour_weight,
     tsp_solve,
@@ -82,6 +81,7 @@ def test_read_weights_fractions(tmp_path):
         "w 3\n0 1\n",
         "w 3\n0 1 2\n1 0 1\n",
         "w 2\n0 x\nx 0\n",
+        "w 2\n0 1/0\n1/0 0\n",
         "",
     ],
 )
@@ -111,7 +111,7 @@ def test_good_rotation_matches_weight_delta():
         x = rng.randint(1, 10)
         ys = [y for y in range(1, 11) if y not in (x, t.succ(x), t.pred(x))]
         y = rng.choice(ys)
-        good = is_good_rotation(wm, t, x, y)
+        good = tsp_reference.is_good_rotation(wm, t, x, y)
         before = tour_weight(wm, t)
         t2 = t.copy()
         t2.rotate(x, y)
@@ -128,12 +128,18 @@ def test_good_rotation_rejects_adjacent():
     wm = WeightMatrix(FOUR_CITY)
     t = Tour(complete_graph(4), [1, 2, 3, 4])
     with pytest.raises(ValueError):
-        is_good_rotation(wm, t, 1, 2)
+        tsp_reference.is_good_rotation(wm, t, 1, 2)
+
+
+def _padded(wm):
+    """wm's weights as a table indexed by vertex labels."""
+    return [[0] * (wm.n + 1)] + [[0, *row] for row in wm.rows]
 
 
 def test_good_set_matches_weight_delta():
     rng = random.Random(4)
     wm = random_matrix(rng, 9)
+    w = _padded(wm)
     host = complete_graph(9)
     for _ in range(200):
         order = list(range(1, 10))
@@ -146,14 +152,13 @@ def test_good_set_matches_weight_delta():
             a, c, b, d = rng.sample(range(1, 10), 4)
             m = Move.potdt(a, c, b, d)
         if not t.admissible(m):
-            with pytest.raises(InadmissibleMove):
-                is_good_set(wm, t, m)
             continue
-        good = is_good_set(wm, t, m)
+        succ, _ = tsp._links(t.order)
+        ov = {v: succ[u] for v, u in m.perm().items()}
         before = tour_weight(wm, t)
         t2 = t.copy()
         t2.apply(m)
-        assert good == (tour_weight(wm, t2) < before)
+        assert tsp._move_delta(w, ov, succ) == tour_weight(wm, t2) - before
 
 
 def test_four_city_golden():
@@ -288,7 +293,10 @@ def test_weight_drift_check_runs_under_optimize():
     code = (
         "from hamperm import tsp\n"
         "orig = tsp._rotation_sweep\n"
-        "tsp._rotation_sweep = lambda *args: orig(*args) + 1\n"
+        "def sweep(*args):\n"
+        "    succ, pred, weight = orig(*args)\n"
+        "    return succ, pred, weight + 1\n"
+        "tsp._rotation_sweep = sweep\n"
         f"wm = tsp.WeightMatrix({FOUR_CITY!r})\n"
         "try:\n"
         "    tsp.tsp_solve(wm, seed=0)\n"
@@ -302,3 +310,72 @@ def test_weight_drift_check_runs_under_optimize():
         timeout=60,
     )
     assert proc.returncode == 0
+
+
+def _commit_cases(seed):
+    """(w, wm) per weight kind (int, Fraction, tied) and n, with w the
+    table tsp_solve builds from wm."""
+    rng = random.Random(seed)
+    for kind in ("int", "fraction", "ties"):
+        for n in (5, 8, 13, 21, 40):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if kind == "int":
+                        x = rng.randint(1, 1000)
+                    elif kind == "fraction":
+                        x = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+                    else:
+                        x = rng.randint(1, 3)
+                    rows[i][j] = rows[j][i] = x
+            wm = WeightMatrix(rows)
+            yield _padded(wm), wm
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_commit_matches_tour_apply_and_rotate(seed):
+    # the arrays tsp_solve commits are those of Tour.apply then Tour.rotate
+    rng = random.Random(seed)
+    tally = {"cycle3": 0, "potdt": 0, "rotations": 0}
+    for w, wm in _commit_cases(seed):
+        n = wm.n
+        host = complete_graph(n)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        t = Tour(host, order)
+        for _ in range(30):
+            k = 3 if rng.random() < 0.5 else 4
+            verts = rng.sample(range(1, n + 1), k)
+            m = Move.cycle3(*verts) if k == 3 else Move.potdt(*verts)
+            if not t.admissible(m):
+                continue
+            succ, pred = tsp._links(t.order)
+            ov = {v: succ[u] for v, u in m.perm().items()}
+            _, rots = tsp._score(w, succ, pred, ov, set(verts), k - 1)
+            t2 = t.copy().apply(m)
+            for x, y in rots:
+                t2.rotate(x, y)
+            # one more rotation, good or not, between nonadjacent vertices
+            x = rng.choice(verts)
+            near = (x, t2.succ(x), t2.pred(x))
+            ys = [y for y in range(1, n + 1) if y not in near]
+            if ys:
+                rots = [*rots, (x, rng.choice(ys))]
+                t2.rotate(*rots[-1])
+            got = tsp._commit(succ, pred, ov, rots)
+            assert got == tsp._links(t2.order)
+            assert tsp._walk(got[0]) == t2.sequence_from(1)
+            # the current tour's arrays are left as they were
+            assert (succ, pred) == tsp._links(t.order)
+            tally[m.kind] += 1
+            tally["rotations"] += len(rots)
+            t = t2
+    assert min(tally.values()) > 0
+
+
+def test_solved_tours_are_one_n_cycle():
+    for seed, (_, wm) in enumerate(_commit_cases(3)):
+        tour, weight, _ = tsp_solve(wm, seed)
+        assert sorted(tour) == list(range(1, wm.n + 1))
+        assert tour[0] == 1
+        assert weight == tour_weight(wm, tour)

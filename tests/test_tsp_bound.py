@@ -15,8 +15,6 @@ from fractions import Fraction
 import pytest
 
 from hamperm import tsp
-from hamperm.graphs import complete_graph
-from hamperm.tour import Tour
 
 
 def _table(n, rng, kind):
@@ -35,7 +33,7 @@ def _table(n, rng, kind):
 
 
 def _tours(seed):
-    """(w, tour) pairs: per weight kind and n, a shuffled tour and the same
+    """(w, succ, pred): per weight kind and n, a shuffled tour and the same
     tour after a full 2-opt sweep (where most candidates are hopeless)."""
     rng = random.Random(seed)
     for kind in ("int", "fraction", "ties"):
@@ -43,10 +41,17 @@ def _tours(seed):
             w = _table(n, rng, kind)
             order = list(range(1, n + 1))
             rng.shuffle(order)
-            t = Tour(complete_graph(n), order)
-            yield w, t.copy()
-            tsp._rotation_sweep(w, t, 0, [])
-            yield w, t
+            succ, pred = tsp._links(order)
+            yield w, succ, pred
+            yield (w, *tsp._rotation_sweep(w, succ, pred, 0, [])[:2])
+
+
+def _positions(succ):
+    """pos[v]: the place of v on the tour read from vertex 1."""
+    pos = [0] * len(succ)
+    for i, v in enumerate(tsp._walk(succ)):
+        pos[v] = i
+    return pos
 
 
 def _brute_table(w, nexts, n):
@@ -63,14 +68,14 @@ def _brute_table(w, nexts, n):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_rotation_table_is_the_brute_force_minimum(seed):
-    for w, t in _tours(seed):
-        succ, pred = tsp._links(t)
+    for w, succ, pred in _tours(seed):
+        n = len(succ) - 1
         for nexts in ((succ,), (pred,), (succ, pred)):
-            assert tsp._rotation_table(w, *nexts) == _brute_table(w, nexts, t.n)
+            assert tsp._rotation_table(w, *nexts) == _brute_table(w, nexts, n)
 
 
 def test_scaled_weights_are_ints_in_proportion():
-    for w, _ in _tours(1):
+    for w, _, _ in _tours(1):
         wi, scale = tsp._scaled(w)
         assert all(type(x) is int for row in wi for x in row)
         assert all(x * scale == y for r, q in zip(w, wi) for x, y in zip(r, q))
@@ -96,15 +101,15 @@ def _rotations(w, s, p, xs):
                 yield tsp._rotation_delta(w, x, s[x], y, s[y])
 
 
-def _check_cycle3(w, t, tally):
-    n = t.n
-    succ, pred = tsp._links(t)
+def _check_cycle3(w, succ, pred, tally):
+    n = len(succ) - 1
+    pos = _positions(succ)
     wi, _ = tsp._scaled(w)
     arc = [wi[v][succ[v]] for v in range(n + 1)]
     M = tsp._rotation_table(wi, succ)
     for a in range(1, n + 1):
-        pa = t.pos[a]
-        rel = {v: (i - pa) % n for v, i in t.pos.items()}
+        pa = pos[a]
+        rel = [(i - pa) % n for i in pos]
         for b in range(1, n + 1):
             if b == a:
                 continue
@@ -131,8 +136,8 @@ def _check_cycle3(w, t, tally):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_skipped_3cycles_cannot_improve(seed):
     tally = {"kept": 0, "skipped": 0, "improving": 0}
-    for w, t in _tours(seed):
-        _check_cycle3(w, t, tally)
+    for w, succ, pred in _tours(seed):
+        _check_cycle3(w, succ, pred, tally)
     # the bound is neither vacuous nor a filter that keeps everything
     assert tally["skipped"] > 0 and tally["improving"] > 0
 
@@ -142,10 +147,9 @@ def test_skipped_3cycles_cannot_improve_at_n40():
     w = _table(40, rng, "int")
     order = list(range(1, 41))
     rng.shuffle(order)
-    t = Tour(complete_graph(40), order)
-    tsp._rotation_sweep(w, t, 0, [])
+    succ, pred, _ = tsp._rotation_sweep(w, *tsp._links(order), 0, [])
     tally = {"kept": 0, "skipped": 0, "improving": 0}
-    _check_cycle3(w, t, tally)
+    _check_cycle3(w, succ, pred, tally)
     assert tally["skipped"] > tally["kept"]
 
 
@@ -154,23 +158,26 @@ def test_cut_potdts_cannot_improve(seed):
     rng = random.Random(seed)
     improving = 0
     cut = {False: 0, True: 0}  # by whether the weights were scaled
-    for w, t in _tours(seed):
-        n = t.n
+    for w, succ, pred in _tours(seed):
+        n = len(succ) - 1
         if n < 8:
             continue
-        succ, pred = tsp._links(t)
+        order = tsp._walk(succ)
+        pos = _positions(succ)
         wi, scale = tsp._scaled(w)
         bound = (wi, tsp._rotation_table(wi, succ, pred), scale)
         for _ in range(60 * n):
             a, c, b, d = rng.sample(range(1, n + 1), 4)
-            if not t.interlace(a, c, b, d):
+            # admissible iff the chords [a,c] and [b,d] interlace
+            qc = (pos[c] - pos[a]) % n
+            if ((pos[b] - pos[a]) % n < qc) == ((pos[d] - pos[a]) % n < qc):
                 continue
             ov = {a: succ[c], c: succ[a], b: succ[d], d: succ[b]}
             xs = {a, c, b, d}
             exact = tsp._score(w, succ, pred, ov, xs, 2)
             got = tsp._score(w, succ, pred, ov, xs, 2, bound)
             # _score puts the tour's arrays back as it found them
-            assert (succ, pred) == tsp._links(t)
+            assert (succ, pred) == tsp._links(order)
             improving += exact[0] < 0
             if got is not None:
                 assert got == exact
