@@ -180,14 +180,6 @@ def _candidates(
     tests = 0
     found: dict = {}
 
-    def consider(score, *verts) -> None:
-        nonlocal tests
-        if tests < cap:
-            tests += 1
-            cand = score(order, pos, adj, a, *verts)
-            if cand is not None:
-                found.setdefault(cand[0], cand)
-
     def sample(pool: list[int]) -> list[int]:
         k = min(rp.edge_cap, len(pool))
         return rng.sample(pool, k) if k else []
@@ -204,12 +196,19 @@ def _candidates(
         ys = [y for y in out_nbrs[b] if y != a and y != b]
         for y in sample(ys):
             c = order[pos[y] - 1]
-            if c != a and c != b:
-                consider(_cycle3, b, c)
+            if c != a and c != b and tests < cap:
+                tests += 1
+                cand = _cycle3(order, pos, adj, a, b, c)
+                if cand is not None:
+                    found.setdefault(cand[0], cand)
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
         zs = [z for z in in_nbrs[ha] if z != a and z != b and z != ha]
         for y in sample(zs):
-            consider(_cycle3, b, y)
+            if tests < cap:
+                tests += 1
+                cand = _cycle3(order, pos, adj, a, b, y)
+                if cand is not None:
+                    found.setdefault(cand[0], cand)
     # POTDTs seeded from a second pseudo-arc vertex
     if len(t.pseudo_keys) > 1 and bs:
         v2 = _draw_pseudo(t, adj, rng, a)
@@ -218,8 +217,11 @@ def _candidates(
         for w in sample(ws):
             d = order[pos[w] - 1]
             for b in bs:
-                if b != v2 and d != a and d != b and d != v2:
-                    consider(_potdt, b, v2, d)
+                if b != v2 and d != a and d != b and d != v2 and tests < cap:
+                    tests += 1
+                    cand = _potdt(order, pos, adj, a, b, v2, d)
+                    if cand is not None:
+                        found.setdefault(cand[0], cand)
     return list(found.values())
 
 
