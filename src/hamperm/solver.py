@@ -17,14 +17,18 @@ convert pseudo-arcs (tour arcs absent from the host) into host arcs:
 An iteration's Python-level work is bounded by the sampled candidates.
 A vertex v is a pseudo-arc vertex when its tour successor is not in its
 host neighbour set, a test on the tour's order/pos arrays; the tour's
-registry itself holds pseudo-arc keys, so its size is |PSEUDO|.  Pseudo-arc
-vertices (the anchor, the POTDT partner, the rotation's pivot) are drawn by
-that test, and the vertex set is decoded from the registry and sorted only
-when 8 uniform draws miss.  Each candidate is a (key, vertices, DIFF) tuple
-scored from tour positions and the 3-4 arcs it creates; only the applied one
-becomes a Move.  The sorted neighbour lists are built once per solve.  A
-move costs a few C-level list slices on the array Tour, a rotation the
-reversal of its segment in place, each plus O(1) host lookups.
+registry itself holds pseudo-arc keys in a sorted list, so its size is
+|PSEUDO|.  Pseudo-arc vertices (the anchor, the POTDT partner, the
+rotation's pivot) are drawn by that test, and when 8 uniform draws miss, by
+one uniform index into the key list, decoding that one key.  Each sample of
+host edges is one uniform ordered subset drawn with a single getrandbits
+(_sample).  Each candidate is a (key, vertices, DIFF) tuple scored from
+tour positions and the 3-4 arcs it creates; once test_cap candidates are
+scored the iteration draws and scores nothing more, and only the applied
+one becomes a Move.  The sorted neighbour lists are built once per solve.
+A move costs a few C-level list slices on the array Tour, a rotation the
+reversal of its segment in place, each plus O(1) host lookups and O(log
+|PSEUDO|) registry updates.
 
 Degree-2 chains are contracted away first: the search runs on
 contract(g).condensed, where each chain keeps its endpoints and its
@@ -170,59 +174,94 @@ def _candidates(
 ) -> list[tuple]:
     """Admissible, filter-passing candidates (key, verts, DIFF) anchored at
     pseudo-arc vertex a, built from sampled host edges (adj maps a vertex
-    to its host out-neighbour set).  At most test_cap candidates are
-    tested; of candidates with equal keys the first is kept."""
+    to its host out-neighbour set); of candidates with equal keys the first
+    is kept.
+
+    Each pool of host edges yields an ordered sample of up to edge_cap
+    (_sample).  The test_cap-th scored candidate ends the call: no later
+    pool is sampled and no POTDT partner is drawn.  Draws before the stop
+    give the same candidates as they would without it; only draws that no
+    candidate reads are skipped.
+    """
     order, pos = t.order, t.pos
     out_nbrs, in_nbrs = nbrs
     n = len(order)
     ha = order[pos[a] + 1 - n]
-    cap = rp.test_cap
+    k, cap = rp.edge_cap, rp.test_cap
     tests = 0
     found: dict = {}
-
-    def sample(pool: list[int]) -> list[int]:
-        k = min(rp.edge_cap, len(pool))
-        return rng.sample(pool, k) if k else []
-
     # splice points b: the created arc (a, x) is a host arc by construction
     xs = [x for x in out_nbrs[a] if x != ha and x != a]
     bs: list[int] = []
-    for x in sample(xs):
+    for x in _sample(rng, xs, k):
         b = order[pos[x] - 1]
         if b != a:
             bs.append(b)
     for b in bs:
         # second edge at b: 3-cycle (a b c) also creates host arc (b, y)
         ys = [y for y in out_nbrs[b] if y != a and y != b]
-        for y in sample(ys):
+        for y in _sample(rng, ys, k):
             c = order[pos[y] - 1]
-            if c != a and c != b and tests < cap:
-                tests += 1
+            if c != a and c != b:
                 cand = _cycle3(order, pos, adj, a, b, c)
                 if cand is not None:
                     found.setdefault(cand[0], cand)
+                tests += 1
+                if tests == cap:
+                    return list(found.values())
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
         zs = [z for z in in_nbrs[ha] if z != a and z != b and z != ha]
-        for y in sample(zs):
-            if tests < cap:
-                tests += 1
-                cand = _cycle3(order, pos, adj, a, b, y)
-                if cand is not None:
-                    found.setdefault(cand[0], cand)
+        for y in _sample(rng, zs, k):
+            cand = _cycle3(order, pos, adj, a, b, y)
+            if cand is not None:
+                found.setdefault(cand[0], cand)
+            tests += 1
+            if tests == cap:
+                return list(found.values())
     # POTDTs seeded from a second pseudo-arc vertex
     if len(t.pseudo_keys) > 1 and bs:
         v2 = _draw_pseudo(t, adj, rng, a)
         s2 = order[pos[v2] + 1 - n]
         ws = [w for w in out_nbrs[v2] if w != s2 and w != v2]
-        for w in sample(ws):
+        for w in _sample(rng, ws, k):
             d = order[pos[w] - 1]
             for b in bs:
-                if b != v2 and d != a and d != b and d != v2 and tests < cap:
-                    tests += 1
+                if b != v2 and d != a and d != b and d != v2:
                     cand = _potdt(order, pos, adj, a, b, v2, d)
                     if cand is not None:
                         found.setdefault(cand[0], cand)
+                    tests += 1
+                    if tests == cap:
+                        return list(found.values())
     return list(found.values())
+
+
+def _sample(rng: random.Random, pool: list[int], k: int) -> list[int]:
+    """A uniform ordered k-subset of pool, k = min(k, len(pool)).
+
+    One integer r < P = m(m-1)...(m-k+1) (m = len(pool)) is drawn with
+    getrandbits((P - 1).bit_length()) and redrawn while r >= P (fewer than
+    2 draws expected); its mixed-radix digits pick the swaps of a partial
+    Fisher-Yates shuffle on a copy of pool.  Digit tuples and ordered
+    k-subsets are in bijection, so every ordered k-subset has probability
+    1/P.
+    """
+    m = len(pool)
+    k = min(k, m)
+    if not k:
+        return []
+    p = math.perm(m, k)
+    bits = (p - 1).bit_length()
+    r = rng.getrandbits(bits)
+    while r >= p:
+        r = rng.getrandbits(bits)
+    out = list(pool)
+    for i in range(k):
+        r, j = divmod(r, m - i)
+        j += i
+        out[i], out[j] = out[j], out[i]
+    del out[k:]
+    return out
 
 
 def _draw_pseudo(
@@ -232,10 +271,12 @@ def _draw_pseudo(
     maps a vertex to its host out-neighbour set).
 
     Up to 8 uniform draws over all n vertices, keeping the first other than
-    exclude whose tour successor is not a host neighbour; if none is, an
-    index into the sorted remaining pseudo-arc vertices.  Each step is
-    uniform over the same set, so the mixture is too.  At least one such
-    vertex must exist.
+    exclude whose tour successor is not a host neighbour; if none is, one
+    uniform index into the tour's sorted pseudo-arc keys that steps over
+    exclude's own key, decoded into its arc's initial vertex.  Each
+    pseudo-arc has one initial vertex, so each step is uniform over the
+    same set, and so is the mixture.  Raises ValueError when no such
+    vertex exists.
     """
     order, pos = t.order, t.pos
     n = len(order)
@@ -243,8 +284,10 @@ def _draw_pseudo(
         v = rng.randrange(n) + 1
         if order[pos[v] + 1 - n] not in adj[v] and v != exclude:
             return v
-    pool = sorted(t.pseudo_vertices() - {exclude})
-    return pool[rng.randrange(len(pool))]
+    size = len(t.pseudo_keys)
+    skip = t.pseudo_index(exclude) if exclude else size
+    i = rng.randrange(size - (skip < size))
+    return t.pseudo_vertex(i + (i >= skip))
 
 
 def _pick_rotation(

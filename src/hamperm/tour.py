@@ -3,8 +3,9 @@
 A Tour is a cyclic order (an n-cycle) over all vertices of a host graph or
 digraph.  Consecutive pairs that are not realized by host edges/arcs are
 pseudo-arcs.  The registry keeps one int key per pseudo-arc, unordered on an
-undirected host (n >= 3), and is updated incrementally; pseudo_vertices()
-decodes it into the pseudo-arcs' initial vertices.
+undirected host (n >= 3), as a sorted list updated incrementally;
+pseudo_vertices() decodes it into the pseudo-arcs' initial vertices, and
+pseudo_vertex(i) decodes the i-th key alone.
 
 Moves are admissible permutations: 3-cycles (a b c) and products of two
 disjoint transpositions (a c)(b d) ("POTDT").  A move is admissible exactly
@@ -43,6 +44,7 @@ and rendering.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
@@ -127,10 +129,12 @@ class Move:
 class Tour:
     """A pseudo-Hamilton circuit over a host graph/digraph.
 
-    pseudo_keys holds one int per pseudo-arc (u, v): min(u,v)*(n+1) +
-    max(u,v) on an undirected host with n >= 3, where the n tour edges are
-    n distinct pairs, and the ordered u*(n+1) + v on a digraph or for
-    n <= 2 (the 2-cycle 1, 2 runs the pair {1, 2} twice).
+    pseudo_keys holds one int per pseudo-arc (u, v), in increasing order:
+    min(u,v)*(n+1) + max(u,v) on an undirected host with n >= 3, where the
+    n tour edges are n distinct pairs, and the ordered u*(n+1) + v on a
+    digraph or for n <= 2 (the 2-cycle 1, 2 runs the pair {1, 2} twice).
+    The order depends only on the current pseudo-arcs, not on the moves
+    that made them.
     """
 
     def __init__(self, host: AnyGraph, order: Sequence[int]):
@@ -141,7 +145,7 @@ class Tour:
         self.pos: dict[int, int] = {v: i for i, v in enumerate(self.order)}
         self._base = host.n + 1
         self._unordered = not host.directed and host.n >= 3
-        self.pseudo_keys: set[int] = self._count_pseudo_keys()
+        self.pseudo_keys: list[int] = self._count_pseudo_keys()
 
     # ---------- basic accessors ----------
 
@@ -175,7 +179,7 @@ class Tour:
         t.pos = dict(self.pos)
         t._base = self._base
         t._unordered = self._unordered
-        t.pseudo_keys = set(self.pseudo_keys)
+        t.pseudo_keys = list(self.pseudo_keys)
         return t
 
     # ---------- pseudo registry ----------
@@ -185,17 +189,29 @@ class Tour:
             return v * self._base + u
         return u * self._base + v
 
-    def _count_pseudo_keys(self) -> set[int]:
+    def _count_pseudo_keys(self) -> list[int]:
         """The registry recounted from the host, one lookup per tour arc."""
         order = self.order
         host = self.host
         adj = host.out_adj if host.directed else host.adj
         key = self._key
-        return {
+        return sorted(
             key(u, v)
             for u, v in zip(order, order[1:] + order[:1])
             if v not in adj[u]
-        }
+        )
+
+    def pseudo_index(self, v: int) -> int:
+        """The index of v's pseudo-arc key in pseudo_keys, or
+        len(pseudo_keys) when v is no pseudo-arc vertex."""
+        return _index(self.pseudo_keys, self._key(v, self.succ(v)))
+
+    def pseudo_vertex(self, i: int) -> int:
+        """The initial vertex of the pseudo-arc keyed pseudo_keys[i]."""
+        u, v = divmod(self.pseudo_keys[i], self._base)
+        if self._unordered and self.succ(u) != v:
+            return v
+        return u
 
     def pseudo_vertices(self) -> set[int]:
         """Initial vertices of the current pseudo-arcs (built on each call)."""
@@ -275,14 +291,14 @@ class Tour:
         key = self._key
         keys = self.pseudo_keys
         for u in perm:
-            keys.discard(key(u, order[pos[u] + 1 - n]))
+            _discard(keys, key(u, order[pos[u] + 1 - n]))
         order[first + 1 : last + 1] = middle
         pos.update(zip(middle, range(first + 1, last + 1)))
         has_arc = self.host.has_arc
         for u in perm:
             v = order[pos[u] + 1 - n]
             if not has_arc(u, v):
-                keys.add(key(u, v))
+                insort(keys, key(u, v))
         return self
 
     # ---------- rotation (graph mode) ----------
@@ -314,10 +330,10 @@ class Tour:
         hv, hw = order[s], order[j + 1 - n]
         key = self._key
         keys = self.pseudo_keys
-        keys.discard(key(v, hv))
-        keys.discard(key(w, hw))
+        _discard(keys, key(v, hv))
+        _discard(keys, key(w, hw))
         if not host.has_arc(hv, hw):
-            keys.add(key(hv, hw))
+            insort(keys, key(hv, hw))
         if s <= j:
             seg = order[s : j + 1]
             seg.reverse()
@@ -345,11 +361,13 @@ class Tour:
         ):
             raise AssertionError("pos does not match order")
         keys = self.pseudo_keys
+        if any(k >= later for k, later in zip(keys, keys[1:])):
+            raise AssertionError(
+                f"pseudo keys {keys} are not strictly increasing"
+            )
         fresh = self._count_pseudo_keys()
         if keys != fresh:
-            raise AssertionError(
-                f"pseudo registry {sorted(keys)} != recount {sorted(fresh)}"
-            )
+            raise AssertionError(f"pseudo registry {keys} != recount {fresh}")
         vertices = self.pseudo_vertices()
         if len(keys) != len(vertices):
             raise AssertionError(
@@ -358,6 +376,18 @@ class Tour:
         has_arc, succ = self.host.has_arc, self.succ
         if vertices != {v for v in self.order if not has_arc(v, succ(v))}:
             raise AssertionError("pseudo_vertices() decodes the wrong endpoints")
+
+
+def _index(keys: list[int], k: int) -> int:
+    """The index of k in the sorted list keys, or len(keys) if absent."""
+    i = bisect_left(keys, k)
+    return i if i < len(keys) and keys[i] == k else len(keys)
+
+
+def _discard(keys: list[int], k: int) -> None:
+    """Remove k from the sorted list keys if it is there."""
+    i = _index(keys, k)
+    del keys[i : i + 1]
 
 
 # ---------- module-level operation surface ----------

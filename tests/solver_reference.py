@@ -9,11 +9,19 @@ is shared with hamperm.contract).  tests/test_solver_reference.py checks the cur
 Tour and solver against these on seeded inputs; nothing in src/ imports
 this module.
 
-The one departure from the earlier code is where pseudo-arc vertices are
-drawn: the anchor, the POTDT partner and the rotation pick use
-_draw_pseudo, a verbatim copy of hamperm.solver._draw_pseudo (it reads only
-membership in t.pseudo and n), so the reference follows the solver's draw
-order.  Everything else, the Move objects, canonical keys, overlays and
+The departures from the earlier code are in how it draws, so the
+reference follows the solver's draw order:
+
+    * the anchor, the POTDT partner and the rotation pick use _draw_pseudo,
+      whose 8 membership draws read only t.pseudo and n; its fallback
+      builds the sorted pseudo-arc key list from t.pseudo with the
+      solver's key encoding (unordered min*(n+1) + max on an undirected
+      host with n >= 3, ordered u*(n+1) + v otherwise) and draws one index
+      into it, as hamperm.solver._draw_pseudo does with the tour's own list;
+    * edge samples use _sample, a verbatim copy of hamperm.solver._sample;
+    * _candidates stops drawing once test_cap moves have been tested.
+
+Everything else, the Move objects, canonical keys, overlays and
 diff_score included, is the earlier code.
 """
 
@@ -304,35 +312,70 @@ def _draw_pseudo(t: Tour, rng: random.Random, exclude: int = 0) -> int:
         v = rng.randrange(n) + 1
         if v in pseudo and v != exclude:
             return v
-    pool = sorted(pseudo - {exclude})
-    return pool[rng.randrange(len(pool))]
+    base = n + 1
+    unordered = not t.host.directed and n >= 3
+
+    def key(u: int) -> int:
+        w = t.succ(u)
+        return min(u, w) * base + max(u, w) if unordered else u * base + w
+
+    drop = key(exclude) if exclude in pseudo else None
+    others = sorted(key(u) for u in pseudo if key(u) != drop)
+    u, w = divmod(others[rng.randrange(len(others))], base)
+    return w if unordered and t.succ(u) != w else u
+
+
+def _sample(rng: random.Random, pool: list[int], k: int) -> list[int]:
+    """A uniform ordered k-subset of pool, k = min(k, len(pool)).
+
+    One integer r < P = m(m-1)...(m-k+1) (m = len(pool)) is drawn with
+    getrandbits((P - 1).bit_length()) and redrawn while r >= P (fewer than
+    2 draws expected); its mixed-radix digits pick the swaps of a partial
+    Fisher-Yates shuffle on a copy of pool.  Digit tuples and ordered
+    k-subsets are in bijection, so every ordered k-subset has probability
+    1/P.
+    """
+    m = len(pool)
+    k = min(k, m)
+    if not k:
+        return []
+    p = math.perm(m, k)
+    bits = (p - 1).bit_length()
+    r = rng.getrandbits(bits)
+    while r >= p:
+        r = rng.getrandbits(bits)
+    out = list(pool)
+    for i in range(k):
+        r, j = divmod(r, m - i)
+        j += i
+        out[i], out[j] = out[j], out[i]
+    del out[k:]
+    return out
 
 
 def _candidates(
     h: AnyGraph, t: Tour, a: int, rng: random.Random, rp: ResolvedParams
 ) -> list[Move]:
     """Admissible, filter-passing candidate moves anchored at pseudo-arc
-    vertex a, built from sampled host edges."""
+    vertex a, built from sampled host edges; nothing more is drawn once
+    test_cap moves have been tested."""
     ha = t.succ(a)
     tests = 0
     out: list[Move] = []
     seen_keys: set = set()
 
-    def consider(m: Move) -> None:
+    def consider(m: Move) -> bool:
+        """Test m; True once test_cap moves have been tested."""
         nonlocal tests
-        if tests >= rp.test_cap:
-            return
         tests += 1
         key = m.canonical_key()
-        if key in seen_keys:
-            return
-        if t.admissible(m) and passes_pseudo_filter(t, m):
+        if key not in seen_keys and t.admissible(m) and passes_pseudo_filter(t, m):
             seen_keys.add(key)
             out.append(m)
+        return tests >= rp.test_cap
 
     def sample(pool: list[int]) -> list[int]:
-        k = min(rp.edge_cap, len(pool))
-        return rng.sample(pool, k) if k else []
+        return _sample(rng, pool, rp.edge_cap)
 
     # splice points b: the created arc (a, x) is a host arc by construction
     xs = [x for x in _host_neighbors(h, a) if x != ha and x != a]
@@ -346,8 +389,8 @@ def _candidates(
         ys = [y for y in _host_neighbors(h, b) if y not in (a, b)]
         for y in sample(ys):
             c = t.pred(y)
-            if c not in (a, b):
-                consider(Move.cycle3(a, b, c))
+            if c not in (a, b) and consider(Move.cycle3(a, b, c)):
+                return out
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
         zs = [
             z
@@ -355,7 +398,8 @@ def _candidates(
             if z not in (a, b, ha)
         ]
         for y in sample(zs):
-            consider(Move.cycle3(a, b, y))
+            if consider(Move.cycle3(a, b, y)):
+                return out
     # POTDTs seeded from a second pseudo-arc vertex
     if len(t.pseudo) > 1 and bs:
         v2 = _draw_pseudo(t, rng, a)
@@ -363,8 +407,8 @@ def _candidates(
         for w in sample(ws):
             d = t.pred(w)
             for b, _x in bs:
-                if len({a, b, v2, d}) == 4:
-                    consider(Move.potdt(a, b, v2, d))
+                if len({a, b, v2, d}) == 4 and consider(Move.potdt(a, b, v2, d)):
+                    return out
     return out
 
 

@@ -170,7 +170,7 @@ def test_pseudo_count_check_runs_under_optimize():
         "orig = solver._pick_rotation\n"
         "def inflating(t, adj, nbrs, rng):\n"
         "    rot = orig(t, adj, nbrs, rng)\n"
-        "    t.pseudo_keys.update(range(-t.n - 5, 0))\n"
+        "    t.pseudo_keys[:0] = range(-t.n - 5, 0)\n"
         "    return rot\n"
         "solver._pick_rotation = inflating\n"
         "g, _ = gen_boll_graph(60, 1)\n"

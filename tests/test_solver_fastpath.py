@@ -1,27 +1,41 @@
-"""The solver's inline candidate scoring and its pseudo-vertex draws.
+"""The solver's inline candidate scoring, its draws and its test cap.
 
 _cycle3/_potdt must agree with the Move/Tour path they replace
 (Tour.admissible, Move.canonical_key, and the passes_pseudo_filter and
 diff_score kept in solver_reference) on every sampled triple and
-quadruple; _draw_pseudo and _pick_rotation must draw uniformly from the
-sets the paper's search draws from.
+quadruple; _sample must give every ordered k-subset of its pool exactly
+once over its draw range; _draw_pseudo and _pick_rotation must draw
+uniformly from the sets the paper's search draws from; and _candidates
+must score at most test_cap candidates and draw nothing after the last.
 """
 
+import itertools
 import math
 import random
 
 import pytest
 
 import solver_reference
+from hamperm import solver
 from hamperm.graphs import (
     Graph,
     complete_graph,
     gen_boll_digraph,
     gen_boll_graph,
+    gen_in_out,
     gen_m_out,
     to_undirected,
 )
-from hamperm.solver import _cycle3, _draw_pseudo, _pick_rotation, _potdt
+from hamperm.solver import (
+    SolveParams,
+    _cycle3,
+    _draw_pseudo,
+    _pick_rotation,
+    _potdt,
+    _sample,
+    solve_digraph,
+    solve_graph,
+)
 from hamperm.tour import Move, Tour
 
 
@@ -112,19 +126,73 @@ def test_inline_scoring_matches_move_path(model, n, seed):
 TRIALS = 20_000
 
 
+class _ScriptedBits:
+    """Stands in for random.Random in _sample: getrandbits returns the
+    scripted values in turn, each checked against the requested width."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        r = self.values.pop(0)
+        assert 0 <= r < 2**k, (r, k)
+        return r
+
+
+@pytest.mark.parametrize(
+    "m,k",
+    [(0, 3), (1, 1), (1, 4), (2, 1), (2, 2), (3, 2), (4, 4), (5, 3), (6, 9), (7, 2)],
+)
+def test_sample_is_a_bijection_onto_ordered_subsets(m, k):
+    pool = [10 * v + 3 for v in range(m)]
+    kk = min(k, m)
+    p = math.perm(m, kk)
+    width = (p - 1).bit_length()
+    seen = []
+    for r in range(p if kk else 1):
+        rng = _ScriptedBits([r])
+        got = _sample(rng, pool, k)
+        assert rng.widths == ([width] if kk else [])
+        assert pool == [10 * v + 3 for v in range(m)]  # the pool is not shuffled
+        seen.append(tuple(got))
+    assert sorted(seen) == sorted(itertools.permutations(pool, kk))
+
+
+@pytest.mark.parametrize("m,k", [(3, 2), (5, 3), (7, 2), (2, 2)])
+def test_sample_redraws_values_past_the_range(m, k):
+    pool = list(range(1, m + 1))
+    p = math.perm(m, k)
+    width = (p - 1).bit_length()
+    over = list(range(p, 2**width))
+    assert over or p == 2**width
+    want = _sample(_ScriptedBits([p - 1]), pool, k)
+    rng = _ScriptedBits(over + [p - 1])
+    assert _sample(rng, pool, k) == want
+    assert rng.widths == [width] * (len(over) + 1) and not rng.values
+
+
+class _ScriptedRange:
+    """Stands in for random.Random in _draw_pseudo: randrange returns the
+    scripted values in turn and records the ranges asked for."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.ranges = []
+
+    def randrange(self, k):
+        self.ranges.append(k)
+        return self.values.pop(0)
+
+
 class _CountingRandom(random.Random):
-    """random.Random that counts randrange calls (9 in one _draw_pseudo
-    mean it fell back to the sorted pool) and shuffles (one in
-    _pick_rotation means its membership draws all missed)."""
+    """random.Random that counts shuffles (one in _pick_rotation means its
+    membership draws all missed)."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.calls = 0
         self.shuffles = 0
-
-    def randrange(self, *args):
-        self.calls += 1
-        return super().randrange(*args)
 
     def shuffle(self, x):
         self.shuffles += 1
@@ -169,12 +237,15 @@ def _path_tour(n, pseudo, chords=()):
 )
 def test_draw_pseudo_is_uniform_on_both_paths(pseudo, exclude):
     t = _path_tour(60, set(pseudo))
+    # only the fallback decodes a key: count its calls on this tour
+    decode, decoded = t.pseudo_vertex, []
+    t.pseudo_vertex = lambda i: decoded.append(i) or decode(i)
     support = sorted(set(pseudo) - {exclude})
     by_path = {"rejection": {}, "fallback": {}}
     for seed in range(TRIALS):
-        rng = _CountingRandom(seed)
-        v = _draw_pseudo(t, t.host.adj, rng, exclude)
-        path = by_path["fallback" if rng.calls == 9 else "rejection"]
+        before = len(decoded)
+        v = _draw_pseudo(t, t.host.adj, random.Random(seed), exclude)
+        path = by_path["fallback" if len(decoded) > before else "rejection"]
         path[v] = path.get(v, 0) + 1
     for counts in by_path.values():
         _assert_uniform(counts, support, sum(counts.values()))
@@ -191,6 +262,42 @@ def test_draw_pseudo_with_one_candidate_left():
     t = _path_tour(60, {9, 33})
     for seed in range(200):
         assert _draw_pseudo(t, t.host.adj, random.Random(seed), 33) == 9
+
+
+def test_draw_pseudo_without_a_candidate_raises():
+    # excluding the only pseudo-arc vertex leaves nothing to draw
+    t = _path_tour(60, {44})
+    for seed in range(20):
+        with pytest.raises(ValueError):
+            _draw_pseudo(t, t.host.adj, random.Random(seed), 44)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_draw_pseudo_fallback_decodes_the_drawn_key(directed):
+    # every index of the fallback maps to a distinct pseudo-arc vertex other
+    # than exclude, on tours moved away from their start so that unordered
+    # keys have their initial vertex on either side
+    rng = random.Random(7)
+    for trial in range(30):
+        n = rng.randint(5, 40)
+        h = gen_boll_digraph(n, trial)[0] if directed else gen_boll_graph(n, trial)[0]
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        t = Tour(h, order)
+        adj = h.out_adj if directed else h.adj
+        pseudo = t.pseudo_vertices()
+        for exclude in [0] + sorted(pseudo):
+            others = pseudo - {exclude}
+            if not others:
+                continue
+            got = set()
+            miss = next(v for v in range(1, n + 1) if v not in others)
+            for i in range(len(others)):
+                # 8 draws of a vertex that is excluded or not pseudo, then i
+                stub = _ScriptedRange([miss - 1] * 8 + [i])
+                got.add(_draw_pseudo(t, adj, stub, exclude))
+                assert stub.ranges == [n] * 8 + [len(others)] and not stub.values
+            assert got == others
 
 
 def test_pick_rotation_is_uniform_over_eligible_vertices():
@@ -225,3 +332,72 @@ def test_pick_rotation_without_eligible_vertex():
     nbrs = {v: sorted(ws) for v, ws in t.host.adj.items()}
     for seed in range(50):
         assert _pick_rotation(t, t.host.adj, nbrs, random.Random(seed)) is None
+
+
+# --------------------------------------------------------------------------
+# the test cap
+# --------------------------------------------------------------------------
+
+CAP_CASES = [
+    ("boll", 60, 1, {}),
+    ("boll", 150, 2, {}),
+    ("boll", 300, 3, {}),
+    ("r3", 60, 4, {}),
+    ("r3", 300, 5, {}),
+    ("bolld", 120, 6, {}),
+    ("inout", 120, 7, {}),
+    ("boll", 200, 8, {"edge_cap": 4, "test_cap": 7}),
+    ("bolld", 100, 9, {"edge_cap": 6, "test_cap": 20}),
+]
+
+
+@pytest.mark.parametrize(
+    "model,n,seed,caps",
+    CAP_CASES,
+    ids=[f"{m}-n{n}-s{s}-{len(c)}" for m, n, s, c in CAP_CASES],
+)
+def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
+    """No _candidates call scores more than test_cap candidates, and once it
+    has scored test_cap it draws nothing more; POTDTs are still scored."""
+    if model == "inout":
+        g = gen_in_out(n, 2, 2, seed)
+    else:
+        g = _host(model, n, seed)
+    call = {}
+    totals = {"calls": 0, "capped": 0, "cycle3": 0, "potdt": 0}
+
+    def counted(name, score):
+        def wrapper(*args):
+            call[name] += 1
+            if call["cycle3"] + call["potdt"] == call["cap"]:
+                call["state"] = call["rng"].getstate()
+            return score(*args)
+
+        return wrapper
+
+    def candidates(t, a, adj, nbrs, rng, rp):
+        call.update(cycle3=0, potdt=0, cap=rp.test_cap, rng=rng, state=None)
+        out = real(t, a, adj, nbrs, rng, rp)
+        scored = call["cycle3"] + call["potdt"]
+        assert scored <= rp.test_cap
+        if scored == rp.test_cap:
+            # the cap-th score was the last thing that touched the rng
+            assert rng.getstate() == call["state"]
+            totals["capped"] += 1
+        totals["calls"] += 1
+        totals["cycle3"] += call["cycle3"]
+        totals["potdt"] += call["potdt"]
+        return out
+
+    real = solver._candidates
+    monkeypatch.setattr(solver, "_cycle3", counted("cycle3", solver._cycle3))
+    monkeypatch.setattr(solver, "_potdt", counted("potdt", solver._potdt))
+    monkeypatch.setattr(solver, "_candidates", candidates)
+    solve = solve_digraph if g.directed else solve_graph
+    rep = solve(g, SolveParams(seed=seed, **caps))
+    assert rep.iterations and totals["calls"] == rep.iterations, (rep, totals)
+    # every case reaches the cap in some iteration; with the default caps
+    # POTDTs are scored as well (a cap of 7 is spent on 3-cycles)
+    assert totals["capped"] > 0, totals
+    if not caps:
+        assert totals["potdt"] > 0, totals

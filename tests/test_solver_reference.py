@@ -91,11 +91,12 @@ def test_caps_and_budgets_match_reference():
             assert got == want
 
 
-@pytest.mark.parametrize("n,seed", [(12, 147), (16, 8), (16, 49), (20, 54)])
+@pytest.mark.parametrize("n,seed", [(12, 147), (16, 8), (16, 49), (20, 17)])
 def test_digraph_restarts_match_reference(monkeypatch, n, seed):
     # these Boll digraphs stall past the restart limit at least once; for
-    # n=12, 147 is the first seed of 0, 1, 2, ... whose solve restarts
-    # (solve_digraph(gen_boll_digraph(12, s)[0], SolveParams(seed=s)))
+    # n=12 and n=20, 147 and 17 are the first seeds of 0, 1, 2, ... whose
+    # solve restarts (solve_digraph(gen_boll_digraph(n, s)[0],
+    # SolveParams(seed=s))); restarts depend on the solver's draws
     shuffles = []
     real = solver._shuffled
     monkeypatch.setattr(

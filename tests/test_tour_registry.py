@@ -43,6 +43,11 @@ def _check(t):
     want = _expected_pseudo(t)
     assert t.pseudo_vertices() == want
     assert len(t.pseudo_keys) == len(want)
+    # the i-th key decodes to a pseudo-arc vertex whose key index is i
+    size = len(t.pseudo_keys)
+    by_index = {t.pseudo_vertex(i): i for i in range(size)}
+    assert by_index == {v: t.pseudo_index(v) for v in want}
+    assert all(t.pseudo_index(v) == size for v in t.order if v not in want)
     assert t.is_circuit() == (not want)
     assert t.pseudo_arcs() == {(v, t.succ(v)) for v in want}
 
@@ -147,7 +152,7 @@ def test_registry_matches_recount_after_every_step(kind, n, seed):
             t.apply(m)
             seen["moves"] += 1
         else:
-            keys = set(t.pseudo_keys)
+            keys = list(t.pseudo_keys)
             with pytest.raises(InadmissibleMove):
                 t.apply(m)
             assert t.pseudo_keys == keys
@@ -189,7 +194,7 @@ def test_rotation_wrapping_past_the_end_of_order():
 
 def test_rotation_guards_leave_the_tour_unchanged():
     t = Tour(cycle_graph(6), [1, 3, 2, 4, 5, 6])
-    keys, order = set(t.pseudo_keys), list(t.order)
+    keys, order = list(t.pseudo_keys), list(t.order)
     for v, w in ((1, 1), (1, 3), (1, 6), (6, 1), (1, 4)):
         with pytest.raises(ValueError):
             t.rotate(v, w)  # equal, adjacent, or (1, 4) off the host
@@ -244,12 +249,24 @@ def test_three_vertices():
 
 def test_check_invariants_catches_a_stale_registry():
     t = Tour(cycle_graph(6), [1, 3, 2, 4, 5, 6])
-    t.pseudo_keys.discard(next(iter(t.pseudo_keys)))
+    del t.pseudo_keys[0]
     with pytest.raises(AssertionError, match="recount"):
         t.check_invariants()
     t = Tour(cycle_graph(6), [1, 3, 2, 4, 5, 6])
     t.pos[1], t.pos[3] = t.pos[3], t.pos[1]
     with pytest.raises(AssertionError, match="pos"):
+        t.check_invariants()
+
+
+def test_check_invariants_catches_an_unsorted_registry():
+    t = Tour(cycle_graph(6), [1, 3, 2, 4, 5, 6])
+    assert len(t.pseudo_keys) == 2
+    t.pseudo_keys.reverse()
+    with pytest.raises(AssertionError, match="strictly increasing"):
+        t.check_invariants()
+    t = Tour(cycle_graph(6), [1, 3, 2, 4, 5, 6])
+    t.pseudo_keys.insert(0, t.pseudo_keys[0])
+    with pytest.raises(AssertionError, match="strictly increasing"):
         t.check_invariants()
 
 
