@@ -282,33 +282,25 @@ def to_undirected(d: Digraph) -> Graph:
     return g
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
+def _reaches_all(adj, n: int) -> bool:
+    """True iff every vertex 1..n is reachable from vertex 1 along adj."""
     seen = {1}
     stack = [1]
     while stack:
         v = stack.pop()
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == g.n
+    return len(seen) == n
+
+
+def is_connected(g: Graph) -> bool:
+    return _reaches_all(g.adj, g.n)
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    def reach(adj):
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == d.n
-
-    return reach(d.out_adj) and reach(d.in_adj)
+    return _reaches_all(d.out_adj, d.n) and _reaches_all(d.in_adj, d.n)
 
 
 def write_graph(g: AnyGraph, path: str) -> None:

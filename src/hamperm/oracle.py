@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import AnyGraph, Graph
-from .tour import InadmissibleMove, Move, Tour
+from .graphs import AnyGraph
+from .tour import Move, Tour
 
 BRUTE_FORCE_CAP = 12
 ENUMERATE_CAP = 10

@@ -261,41 +261,34 @@ class Tour:
     def apply(self, m: Move) -> "Tour":
         """Apply an admissible move in place; returns self.
 
-        Cutting the cycle after each moved vertex leaves at most four
-        chunks, and the move only relinks them (no chunk is reversed), so
-        the new order is a concatenation of list slices.  The chunk holding
-        order[0] keeps its place, so order[0] and every position outside
-        the first..last cut span stay as they were.  Only the moved
-        vertices' arcs change, so the registry drops their old keys and
-        adds the new arcs that are off the host.
+        Cutting the cycle after each moved vertex, at sorted positions
+        p < q < r (< s), leaves chunks that the move only relinks (no chunk
+        is reversed), so the new order is a concatenation of list slices:
+        a 3-cycle swaps the chunks p+1..q and q+1..r, and a POTDT (a double
+        bridge) puts the chunks p+1..q, q+1..r and r+1..s in reverse order.
+        The chunk holding order[0] keeps its place, so order[0] and every
+        position outside the first..last cut span stay as they were.  Only
+        the moved vertices' arcs change, so the registry drops their old
+        keys and adds the new arcs that are off the host.
         """
         if not self.admissible(m):
             raise InadmissibleMove(f"move {m} is not admissible on this tour")
-        perm = m.perm()
         order = self.order
         pos = self.pos
-        cuts = sorted(pos[v] for v in perm)
-        first, last = cuts[0], cuts[-1]
-        # the chunk ending at a cut begins right after the previous cut;
-        # the chunk that follows it is the one after the cut at s(u)
-        begin = dict(zip(cuts[1:], cuts))
-        after = dict(zip(cuts, cuts[1:] + cuts[:1]))
-        middle: list[int] = []
-        c = after[pos[perm[order[first]]]]
-        while c != first:
-            middle += order[begin[c] + 1 : c + 1]
-            c = after[pos[perm[order[c]]]]
-        if len(middle) != last - first:  # pragma: no cover - admissibility
-            raise InadmissibleMove(f"move {m} does not yield a single n-cycle")
+        p, q, r, *rest = sorted(pos[v] for v in m.verts)
+        last = rest[0] if rest else r
+        middle = order[q + 1 : r + 1] + order[p + 1 : q + 1]
+        if rest:
+            middle = order[r + 1 : last + 1] + middle
         n = len(order)
         key = self._key
         keys = self.pseudo_keys
-        for u in perm:
+        for u in m.verts:
             _discard(keys, key(u, order[pos[u] + 1 - n]))
-        order[first + 1 : last + 1] = middle
-        pos.update(zip(middle, range(first + 1, last + 1)))
+        order[p + 1 : last + 1] = middle
+        pos.update(zip(middle, range(p + 1, last + 1)))
         has_arc = self.host.has_arc
-        for u in perm:
+        for u in m.verts:
             v = order[pos[u] + 1 - n]
             if not has_arc(u, v):
                 insort(keys, key(u, v))

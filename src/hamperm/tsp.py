@@ -23,20 +23,17 @@ built only for the candidate that is committed.  The running weight is
 updated by each accepted delta and checked against tour_weight once, at the
 end of tsp_solve.
 
-Most candidates are not scored.  Each composite search first tabulates, for
+Most 3-cycles are not scored.  Each composite search first tabulates, for
 every x and h, the least change M[x][h] - w[x][h] of a rotation (x, y) on a
 tour where x's successor is h and y's is unchanged (n^2 minima over n terms,
 in C-level min/map).  A 3-cycle is scored only if its move delta d0 plus the
 least of those entries and the exact terms for its moved vertices can be
-negative.  A POTDT's first rotation is always scanned; its second only if
-the same kind of bound on the rotated tour (a table over both directions of
-the current arcs, plus its move and rotation arcs exactly) can still make
-the total negative.  Since the bounds are true lower bounds, every skipped
-candidate would have been rejected anyway, so the accepted steps, the tour
-and the trace are those of a full scan.  Every random POTDT draw is still
-made: the later draws depend on it.  The bounds only compare sums of
-weights, so they run on the weights times their common denominator, as
-ints; candidates that are scored are scored in the exact weights.
+negative.  Since this is a true lower bound, every skipped 3-cycle would
+have been rejected anyway, so the accepted steps, the tour and the trace
+are those of a full scan.  Every POTDT draw is scored in full.  The bound
+and the rotation scans only compare sums of weights, so they run on the
+weights times their common denominator, as ints; the deltas summed into
+the tour weight are those of the exact weights.
 
 Weights are exact (int or Fraction) so the strict comparisons never suffer
 floating-point noise.  File format: line 1 "w n", then n rows of n numbers;
@@ -56,7 +53,7 @@ from .tour import Tour
 
 Weight = Union[int, Fraction]
 # A weight table indexed by vertex labels: w[u][v] is the weight of u-v.
-_Table = Union[list[list[Weight]], dict[int, list[Weight]]]
+_Table = list[list[Weight]]
 
 
 class WeightMatrix:
@@ -184,18 +181,17 @@ def _walk(succ: list[int]) -> list[int]:
 
 def _first_good_rotation(
     w: _Table, succ: list[int], pred: list[int], xs
-) -> Optional[tuple[int, int, Weight]]:
-    """(x, y, delta) of the first good rotation with x in xs (in xs's
-    order) and y in 1..n, or None."""
+) -> Optional[tuple[int, int]]:
+    """(x, y) of the first good rotation with x in xs (in xs's order) and
+    y in 1..n, or None."""
     verts = range(1, len(succ))
     for x in xs:
         hx, px = succ[x], pred[x]
         for y in verts:
             if y == x or y == hx or y == px:
                 continue
-            d = _rotation_delta(w, x, hx, y, succ[y])
-            if d < 0:
-                return x, y, d
+            if _rotation_delta(w, x, hx, y, succ[y]) < 0:
+                return x, y
     return None
 
 
@@ -219,22 +215,20 @@ def _rotated_links(
 
 def _score(
     w: _Table,
+    wi: _Table,
     succ: list[int],
     pred: list[int],
     ov: dict[int, int],
     xs,
     rotations: int,
-    cut: Optional[tuple[_Table, list[list[int]], int]] = None,
-) -> Optional[tuple[Weight, list[tuple[int, int]]]]:
+) -> tuple[Weight, list[tuple[int, int]]]:
     """Net weight change of a move (given by its overlay ov) followed by up
     to `rotations` first good rotations from xs, and those rotations.
 
-    succ and pred describe the current tour; they are rewired to the
-    post-move tour for the scan and restored before returning.  cut, for
-    two rotations, is (wi, M2, scale) with wi, scale from _scaled(w) and
-    M2 = _rotation_table(wi, succ, pred): the second rotation is then
-    scanned only if a lower bound on it lets the delta go negative, and
-    otherwise _score returns None.
+    The rotations are found on wi = _scaled(w), where a delta is negative
+    exactly when it is on w, and their deltas are summed in w.  succ and
+    pred describe the current tour; they are rewired to the post-move tour
+    for the scan and restored before returning.
     """
     delta = _move_delta(w, ov, succ)
     old = [(v, succ[v]) for v in ov]
@@ -243,27 +237,17 @@ def _score(
     rots = []
     s, p = succ, pred
     for k in range(rotations):
-        got = _first_good_rotation(w, s, p, xs)
+        got = _first_good_rotation(wi, s, p, xs)
         if got is None:
             break
-        x, y, d = got
-        delta += d
-        rots.append((x, y))
+        x, y = got
+        delta += _rotation_delta(w, x, s[x], y, s[y])
+        rots.append(got)
         if k + 1 < rotations:
             s, p = _rotated_links(s, p, x, y)
-            if cut is not None:
-                wi, M2, scale = cut
-                # every arc of the rotated tour that M2 does not cover is a
-                # move or rotation arc, so it leaves a vertex of ov
-                heads = [(v, s[v]) for v in xs]
-                arcs = heads + [(v, s[v]) for v in ov.values()]
-                floor = _rotation_floor(wi, M2, heads, arcs)
-                if delta * scale + min(floor, 0) >= 0:
-                    rots = None
-                    break
     for v, h in old:
         succ[v], pred[h] = h, v
-    return None if rots is None else (delta, rots)
+    return delta, rots
 
 
 def _rotation_sweep(
@@ -289,57 +273,34 @@ def _rotation_sweep(
     return succ, pred, weight
 
 
-def _scaled(w: _Table) -> tuple[_Table, int]:
-    """(wi, scale): the table w times the least common denominator of its
-    entries, as ints.  The skip bounds only compare sums of weights, so on
-    wi they make the same decisions as on w, in int arithmetic."""
+def _scaled(w: _Table) -> _Table:
+    """The table w times the least common denominator of its entries, as
+    ints.  The 3-cycle bound and the rotation scans only compare sums of
+    weights, so on the scaled table they make the same decisions as on w,
+    in int arithmetic."""
     scale = math.lcm(*(x.denominator for row in w for x in row))
     if scale == 1:
-        return w, 1
-    return [[int(x * scale) for x in row] for row in w], scale
+        return w
+    return [[int(x * scale) for x in row] for row in w]
 
 
-def _rotation_table(w: _Table, *nexts: list[int]) -> list[list[Weight]]:
+def _rotation_table(w: _Table, nxt: list[int]) -> list[list[Weight]]:
     """T with T[x][h] = min of w[x][y] + w[h][nxt y] - w[y][nxt y] over
-    every vertex y and every successor array nxt in nexts.
+    every vertex y.
 
     On a tour where x's successor is h, the rotation (x, y) changes the
     weight by w[x][y] + w[h][hy] - w[y][hy] - w[x][h], with hy the
     successor of y.  So T[x][h] - w[x][h] bounds it from below whenever
-    y -> hy is an arc y -> nxt y.  Built with C-level min and map: n^2
-    entries of n terms per array."""
-    verts = range(1, len(nexts[0]))
-    hs = [nxt[y] for nxt in nexts for y in verts]
-    arcs = [w[y][h] for y, h in zip([*verts] * len(nexts), hs)]
+    y -> hy is the arc y -> nxt y.  Built with C-level min and map: n^2
+    entries of n terms."""
+    verts = range(1, len(nxt))
+    hs = nxt[1:]
+    arcs = [w[y][h] for y, h in zip(verts, hs)]
     cols = [list(map(sub, map(w[h].__getitem__, hs), arcs)) for h in verts]
     return [[]] + [
         [0, *(min(map(add, row, col)) for col in cols)]
-        for row in (w[x][1:] * len(nexts) for x in verts)
+        for row in (w[x][1:] for x in verts)
     ]
-
-
-def _rotation_floor(
-    w: _Table,
-    T: list[list[Weight]],
-    heads,
-    arcs: list[tuple[int, int]],
-) -> Weight:
-    """A lower bound on the delta of every rotation (x, y) with x -> h in
-    heads, on a tour whose arcs y -> hy are each covered by the table T
-    (see _rotation_table) or listed in arcs."""
-    floor = None
-    for x, h in heads:
-        low = T[x][h]
-        wx, wh = w[x], w[h]
-        for y, hy in arcs:
-            if y != x:
-                v = wx[y] + wh[hy] - w[y][hy]
-                if v < low:
-                    low = v
-        low -= wx[h]
-        if floor is None or low < floor:
-            floor = low
-    return floor
 
 
 def _cycle3_open(
@@ -406,21 +367,19 @@ def _commit(
 def _good_composite(
     w: _Table,
     wi: _Table,
-    scale: int,
     succ: list[int],
     pred: list[int],
     rng: random.Random,
-    potdt_samples: int,
 ) -> Optional[tuple[list[int], list[int], Weight]]:
     """One strictly improving composite: an admissible move followed by up
     to one (3-cycle) or two (POTDT) good rotations, committed atomically.
     Returns the new tour's arrays and its weight change.
 
-    Rotations are only scanned where a lower bound on the composite's delta
-    is negative (_cycle3_open for 3-cycles, _score's cut for a POTDT's
-    second rotation), computed on wi, scale = _scaled(w).  The skipped
-    candidates would be rejected anyway, so the first accepted candidate is
-    the one a full scan finds."""
+    3-cycles are scanned in label order, and one is scored only where
+    _cycle3_open's lower bound on its delta, computed on wi = _scaled(w),
+    is negative.  The skipped ones would be rejected anyway, so the first
+    accepted candidate is the one a full scan finds.  Then 4 n^2 random
+    POTDTs are drawn, and each interlaced one is scored."""
     n = len(succ) - 1
     verts = range(1, n + 1)
     pos = [0] * (n + 1)
@@ -438,12 +397,10 @@ def _good_composite(
                 continue
             for c in _cycle3_open(wi, succ, arc, M, rel, a, b):
                 ov = {a: succ[b], b: succ[c], c: succ[a]}
-                delta, rots = _score(w, succ, pred, ov, {a, b, c}, 1)
+                delta, rots = _score(w, wi, succ, pred, ov, {a, b, c}, 1)
                 if delta < 0:
                     return (*_commit(succ, pred, ov, rots), delta)
-    # a rotated tour runs some arcs of this one backwards
-    cut = (wi, _rotation_table(wi, succ, pred), scale)
-    for _ in range(potdt_samples):
+    for _ in range(4 * n * n):
         a, c, b, d = rng.sample(verts, 4)
         # (a c)(b d) is admissible iff the chords [a,c] and [b,d] interlace
         pa = pos[a]
@@ -451,9 +408,8 @@ def _good_composite(
         if ((pos[b] - pa) % n < qc) == ((pos[d] - pa) % n < qc):
             continue
         ov = {a: succ[c], c: succ[a], b: succ[d], d: succ[b]}
-        got = _score(w, succ, pred, ov, {a, c, b, d}, 2, cut)
-        if got is not None and got[0] < 0:
-            delta, rots = got
+        delta, rots = _score(w, wi, succ, pred, ov, {a, c, b, d}, 2)
+        if delta < 0:
             return (*_commit(succ, pred, ov, rots), delta)
     return None
 
@@ -481,7 +437,7 @@ def tsp_solve(
         raise ValueError("tsp_solve requires int or Fraction weights")
     # weights indexed by vertex labels: row and column 0 are padding
     w = [[0] * (n + 1)] + [[0, *row] for row in wm.rows]
-    wi, scale = _scaled(w)
+    wi = _scaled(w)
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)
@@ -489,9 +445,7 @@ def tsp_solve(
     trace: list = [("start", None, weight)]
     succ, pred, weight = _rotation_sweep(w, *_links(order), weight, trace)
     for _ in range(budget):
-        got = _good_composite(
-            w, wi, scale, succ, pred, rng, potdt_samples=4 * n * n
-        )
+        got = _good_composite(w, wi, succ, pred, rng)
         if got is None:
             break
         succ, pred, delta = got

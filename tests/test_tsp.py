@@ -351,7 +351,7 @@ def test_commit_matches_tour_apply_and_rotate(seed):
                 continue
             succ, pred = tsp._links(t.order)
             ov = {v: succ[u] for v, u in m.perm().items()}
-            _, rots = tsp._score(w, succ, pred, ov, set(verts), k - 1)
+            _, rots = tsp._score(w, tsp._scaled(w), succ, pred, ov, set(verts), k - 1)
             t2 = t.copy().apply(m)
             for x, y in rots:
                 t2.rotate(x, y)
