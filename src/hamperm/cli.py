@@ -5,7 +5,7 @@ Subcommands:
     solve   find a Hamilton circuit in an edge-list file
     prob    closed forms, estimators, and censuses from problab
     oracle  brute-force or breadth enumeration of all circuits (small n)
-    tsp     weighted-tour local search on a weight-matrix file
+    tsp     weighted-tour iterated local search on a weight-matrix file
 
 Structured output: --format json emits one JSON record per line with stable,
 sorted field names; the same values appear in the default table output.
@@ -325,9 +325,11 @@ def build_parser() -> _Parser:
     common(o)
     o.set_defaults(func=cmd_oracle)
 
-    t = sub.add_parser("tsp", help="weighted-tour local search")
+    t = sub.add_parser("tsp", help="weighted-tour iterated local search")
     t.add_argument("path")
-    t.add_argument("--budget", type=int, default=None)
+    t.add_argument("--budget", type=int, default=None,
+                   help="number of double-bridge kicks "
+                        "(default n*ceil(ln n))")
     common(t)
     t.set_defaults(func=cmd_tsp)
     return p

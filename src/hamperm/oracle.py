@@ -1,6 +1,7 @@
 """Ground truth at desk scale.
 
-Three independent ways to reason about Hamilton circuits on small hosts:
+Three independent ways to reason about Hamilton circuits on small hosts,
+and the exact optimum of a small weighted tour:
 
     * brute_force_circuits - exhaustive backtracking (n <= 12), canonicalized.
     * sigma / constructive_step / converge - the constructive distance
@@ -17,6 +18,8 @@ Three independent ways to reason about Hamilton circuits on small hosts:
       seen is never built; a new one is built from list slices of its
       parent: an admissible 3-cycle is a segment exchange, an interlaced
       POTDT a double bridge.
+    * held_karp - the least tour weight of a symmetric weight matrix by the
+      Held-Karp bitmask dynamic program (n <= 13), in exact arithmetic.
 
 The constructive machinery never consults the host to make progress: the
 move built from sigma exists for purely cyclic-order reasons, so it also
@@ -38,6 +41,7 @@ from .tour import Move, Tour
 
 BRUTE_FORCE_CAP = 12
 ENUMERATE_CAP = 10
+HELD_KARP_CAP = 13
 
 
 class OracleError(ValueError):
@@ -107,6 +111,38 @@ def brute_force_circuits(g: AnyGraph) -> list[tuple[int, ...]]:
             stack.pop()
             used.discard(path.pop())
     return sorted(found)
+
+
+def held_karp(wm):
+    """The least weight of a tour of the tsp.WeightMatrix wm, n <= 13.
+
+    best[S][j] is the least weight of a path from city 0 through the set S
+    of other cities (a bitmask over cities 1..n-1) that ends at j in S, so
+    the optimum closes best[all][j] with the arc j-0.  O(2^n n^2) steps in
+    the weights' own int or Fraction arithmetic."""
+    n = wm.n
+    if n > HELD_KARP_CAP:
+        raise OracleError(f"held_karp is capped at n <= {HELD_KARP_CAP} (got n={n})")
+    w = wm.rows
+    if n == 1:
+        return w[0][0]
+    m = n - 1
+    best: list[list] = [[None] * m for _ in range(1 << m)]
+    for j in range(m):
+        best[1 << j][j] = w[0][j + 1]
+    for mask, row in enumerate(best):
+        for j, cost in enumerate(row):
+            if cost is None:
+                continue
+            wj = w[j + 1]
+            for k in range(m):
+                if mask >> k & 1:
+                    continue
+                ext = cost + wj[k + 1]
+                nxt = best[mask | 1 << k]
+                if nxt[k] is None or ext < nxt[k]:
+                    nxt[k] = ext
+    return min(cost + w[j + 1][0] for j, cost in enumerate(best[-1]))
 
 
 # --------------------------------------------------------------------------

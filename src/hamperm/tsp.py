@@ -1,39 +1,39 @@
-"""Weighted symmetric tours: good rotations, good move sets, local search.
+"""Weighted symmetric tours: an iterated local search from the paper's moves.
 
-A rotation or admissible move is "good" when the arcs it creates weigh
-strictly less than the arcs it replaces, so every accepted step strictly
-decreases the tour weight.  tsp_solve runs a greedy good-rotation sweep
-(a 2-opt pass) to a local optimum, then repeatedly tries good admissible
-moves composed with up to one (3-cycle) or two (POTDT) follow-up rotations,
-committing a composite only when its net weight strictly improves.  Since
-every accepted step improves, the final tour is the best one seen.
+tsp_solve descends from a shuffled tour with two kinds of improving move,
+each the weighted form of one of the paper's steps:
 
-A tour is a pair of successor/predecessor arrays indexed by vertex, with no
-host graph: every pair of cities is an edge, so no arc is a pseudo-arc.  A
-move h' = h s writes its new successors (its overlay) into the arrays; a
-rotation reverses the successor links of one segment.  Positions, needed to
-tell which moves are admissible, are read off by one walk of the successors
-per composite search, and the result is the walk from vertex 1.
+  * 2-opt, the paper's rotation: tour arcs a-b and c-d become a-c and b-d,
+    reversing the path between them;
+  * Or-opt, the paper's 3-cycle where one of the two adjacent segments it
+    exchanges is a run of 1-3 cities: the run moves, unreversed, between
+    two other adjacent cities.
 
-Every gain is computed from the arcs a step changes, never by re-summing
-the tour.  A scored candidate costs O(1) for its move's delta plus the scan
-for its follow-up rotation(s) (O(n) per scanned vertex at worst, usually far
-less), done on the arrays with the moved arcs overridden; new arrays are
-built only for the candidate that is committed.  The running weight is
-updated by each accepted delta and checked against tour_weight once, at the
-end of tsp_solve.
+Both are tried from a city a through its K = 8 nearest cities only (ties
+broken by label): a move is tried only when its first new arc a-c has c in
+a's list and is shorter than the arc of a it replaces (Bentley's gain
+criterion).  Don't-look bits keep a queue of the cities whose arcs changed
+since they were last tried, and a descent ends when the queue is empty.
 
-Most 3-cycles are not scored.  Each composite search first tabulates, for
-every x and h, the least change M[x][h] - w[x][h] of a rotation (x, y) on a
-tour where x's successor is h and y's is unchanged (n^2 minima over n terms,
-in C-level min/map).  A 3-cycle is scored only if its move delta d0 plus the
-least of those entries and the exact terms for its moved vertices can be
-negative.  Since this is a true lower bound, every skipped 3-cycle would
-have been rejected anyway, so the accepted steps, the tour and the trace
-are those of a full scan.  Every POTDT draw is scored in full.  The bound
-and the rotation scans only compare sums of weights, so they run on the
-weights times their common denominator, as ints; the deltas summed into
-the tour weight are those of the exact weights.
+Then it kicks: a random double bridge, which is the paper's interlaced
+POTDT (a c)(b d).  It changes 4 arcs, reverses no segment, and its weight
+change is read off those arcs in O(1).  The descent restarts from the
+kick's 8 endpoints only, and the kicked tour is kept only if it ends
+strictly lighter than the tour before the kick, which is restored
+otherwise.  The budget counts kicks.  Full passes over every city, until
+one applies no move, finish the search, so the returned tour has no
+improving neighbour-list move.
+
+A tour is the list order of its cities with pos, each city's index in it.
+A reversal rewrites whichever of the two paths it may reverse is shorter,
+so the list may be read in either direction; the tour returned is read
+from vertex 1 in the list's direction.
+
+Every decision compares sums of weights, so the search runs on the weights
+times their common denominator, as ints, and the running weight is kept in
+those units: exact, and divided back exactly for the trace.  Each trace
+entry is strictly lighter than the one before it, and the running weight is
+checked against tour_weight at the end.
 
 Weights are exact (int or Fraction) so the strict comparisons never suffer
 floating-point noise.  File format: line 1 "w n", then n rows of n numbers;
@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
-from operator import add, sub
 from typing import Optional, Sequence, Union
 
 from .graphs import ParseError
@@ -135,300 +135,198 @@ def tour_weight(wm: WeightMatrix, t: Union[Tour, Sequence[int]]) -> Weight:
     return sum(wm.w(seq[i], seq[(i + 1) % wm.n]) for i in range(wm.n))
 
 
-def _rotation_delta(w: _Table, x: int, hx: int, y: int, hy: int) -> Weight:
-    """Weight change of the rotation that replaces arcs x-hx and y-hy by
-    x-y and hx-hy.  Negative exactly when the rotation is good."""
-    return (w[x][y] + w[hx][hy]) - (w[x][hx] + w[y][hy])
-
-
-def _move_delta(w: _Table, ov: dict[int, int], succ) -> Weight:
-    """Weight change of a move: the arcs v-ov[v] it creates minus the arcs
-    v-succ[v] they replace.  Negative exactly when the move set is good."""
-    new = old = 0
-    for v, h in ov.items():
-        new += w[v][h]
-        old += w[v][succ[v]]
-    return new - old
-
-
 # --------------------------------------------------------------------------
 # local search
 # --------------------------------------------------------------------------
 
-
-def _links(order: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Successor and predecessor arrays, indexed by vertex, of the tour that
-    visits order cyclically."""
-    succ = [0] * (len(order) + 1)
-    pred = [0] * (len(order) + 1)
-    prev = order[-1]
-    for v in order:
-        succ[prev] = v
-        pred[v] = prev
-        prev = v
-    return succ, pred
+# neighbour-list length
+K = 8
 
 
-def _walk(succ: list[int]) -> list[int]:
-    """The tour with successor array succ, as a list starting at vertex 1."""
-    order = [1]
-    v = succ[1]
-    while v != 1:
-        order.append(v)
-        v = succ[v]
-    return order
-
-
-def _first_good_rotation(
-    w: _Table, succ: list[int], pred: list[int], xs
-) -> Optional[tuple[int, int]]:
-    """(x, y) of the first good rotation with x in xs (in xs's order) and
-    y in 1..n, or None."""
-    verts = range(1, len(succ))
-    for x in xs:
-        hx, px = succ[x], pred[x]
-        for y in verts:
-            if y == x or y == hx or y == px:
-                continue
-            if _rotation_delta(w, x, hx, y, succ[y]) < 0:
-                return x, y
-    return None
-
-
-def _rotated_links(
-    succ: list[int], pred: list[int], x: int, y: int
-) -> tuple[list[int], list[int]]:
-    """New arrays for the tour after rotation (x, y), which reverses the
-    segment succ(x)..y so the tour reads x, y, ..., succ(x), succ(y)."""
-    s2, p2 = succ[:], pred[:]
-    hx, hy = succ[x], succ[y]
-    v = hx
-    while True:
-        s2[v], p2[v] = pred[v], succ[v]
-        if v == y:
-            break
-        v = succ[v]
-    s2[x], p2[y] = y, x
-    s2[hx], p2[hy] = hy, hx
-    return s2, p2
-
-
-def _score(
-    w: _Table,
-    wi: _Table,
-    succ: list[int],
-    pred: list[int],
-    ov: dict[int, int],
-    xs,
-    rotations: int,
-) -> tuple[Weight, list[tuple[int, int]]]:
-    """Net weight change of a move (given by its overlay ov) followed by up
-    to `rotations` first good rotations from xs, and those rotations.
-
-    The rotations are found on wi = _scaled(w), where a delta is negative
-    exactly when it is on w, and their deltas are summed in w.  succ and
-    pred describe the current tour; they are rewired to the post-move tour
-    for the scan and restored before returning.
-    """
-    delta = _move_delta(w, ov, succ)
-    old = [(v, succ[v]) for v in ov]
-    for v, h in ov.items():
-        succ[v], pred[h] = h, v
-    rots = []
-    s, p = succ, pred
-    for k in range(rotations):
-        got = _first_good_rotation(wi, s, p, xs)
-        if got is None:
-            break
-        x, y = got
-        delta += _rotation_delta(w, x, s[x], y, s[y])
-        rots.append(got)
-        if k + 1 < rotations:
-            s, p = _rotated_links(s, p, x, y)
-    for v, h in old:
-        succ[v], pred[h] = h, v
-    return delta, rots
-
-
-def _rotation_sweep(
-    w: _Table, succ: list[int], pred: list[int], weight: Weight, trace: list
-) -> tuple[list[int], list[int], Weight]:
-    """Apply good rotations until none exists (a full 2-opt pass); returns
-    the new arrays and weight."""
-    verts = range(1, len(succ))
-    improved = True
-    while improved:
-        improved = False
-        for x in verts:
-            for y in verts:
-                hx = succ[x]
-                if y == x or y == hx or y == pred[x]:
-                    continue
-                d = _rotation_delta(w, x, hx, y, succ[y])
-                if d < 0:
-                    succ, pred = _rotated_links(succ, pred, x, y)
-                    weight += d
-                    trace.append(("rotation", (x, y), weight))
-                    improved = True
-    return succ, pred, weight
-
-
-def _scaled(w: _Table) -> _Table:
-    """The table w times the least common denominator of its entries, as
-    ints.  The 3-cycle bound and the rotation scans only compare sums of
-    weights, so on the scaled table they make the same decisions as on w,
-    in int arithmetic."""
+def _scaled(w: _Table) -> tuple[list[list[int]], int]:
+    """(w times the least common denominator of its entries, as ints; that
+    denominator).  Sums of weights compare on the scaled table as on w."""
     scale = math.lcm(*(x.denominator for row in w for x in row))
     if scale == 1:
-        return w
-    return [[int(x * scale) for x in row] for row in w]
+        return w, 1
+    return [[int(x * scale) for x in row] for row in w], scale
 
 
-def _rotation_table(w: _Table, nxt: list[int]) -> list[list[Weight]]:
-    """T with T[x][h] = min of w[x][y] + w[h][nxt y] - w[y][nxt y] over
-    every vertex y.
+def _exact(cost: int, scale: int) -> Weight:
+    """A weight in scaled units, back in the units of the weights."""
+    return Fraction(cost, scale) if scale > 1 else cost
 
-    On a tour where x's successor is h, the rotation (x, y) changes the
-    weight by w[x][y] + w[h][hy] - w[y][hy] - w[x][h], with hy the
-    successor of y.  So T[x][h] - w[x][h] bounds it from below whenever
-    y -> hy is the arc y -> nxt y.  Built with C-level min and map: n^2
-    entries of n terms."""
-    verts = range(1, len(nxt))
-    hs = nxt[1:]
-    arcs = [w[y][h] for y, h in zip(verts, hs)]
-    cols = [list(map(sub, map(w[h].__getitem__, hs), arcs)) for h in verts]
+
+def _nearest(wi: list[list[int]]) -> list[list[int]]:
+    """near[v]: the K cities nearest v, nearest first, ties broken by
+    label."""
+    verts = range(1, len(wi))
     return [[]] + [
-        [0, *(min(map(add, row, col)) for col in cols)]
-        for row in (w[x][1:] for x in verts)
+        sorted((u for u in verts if u != v), key=wi[v].__getitem__)[:K]
+        for v in verts
     ]
 
 
-def _cycle3_open(
-    w: _Table,
-    succ: list[int],
-    arc: list[Weight],
-    M: list[list[Weight]],
-    rel: list[int],
+def _reverse(order: list[int], pos: list[int], i: int, j: int) -> None:
+    """Reverse the path at positions i..j of the cyclic list order (past
+    its end when j < i) or, if shorter, the path at all other positions:
+    either gives the same cycle."""
+    n = len(order)
+    if 2 * ((j - i) % n + 1) > n:
+        i, j = (j + 1) % n, (i - 1) % n
+    if i <= j:
+        run = order[i:j + 1]
+        run.reverse()
+        order[i:j + 1] = run
+    else:
+        run = order[i:] + order[:j + 1]
+        run.reverse()
+        order[i:], order[:j + 1] = run[:n - i], run[n - i:]
+    for k, v in enumerate(run, i):
+        pos[v] = k % n
+
+
+def _swap_arcs(
+    order: list[int], pos: list[int], a: int, b: int, c: int, d: int
+) -> None:
+    """Replace the tour arcs a-b and c-d by a-c and b-d; b and d must both
+    follow, or both precede, a and c."""
+    i = pos[a] + 1
+    if order[i if i < len(order) else 0] == b:
+        _reverse(order, pos, pos[b], pos[c])
+    else:
+        _reverse(order, pos, pos[a], pos[d])
+
+
+def _improve(
+    wi: list[list[int]],
+    near: list[list[int]],
+    order: list[int],
+    pos: list[int],
     a: int,
-    b: int,
-):
-    """The c, in label order, that make (a b c) admissible (rel[b] < rel[c])
-    and whose composite _score might find improving: c is left out only
-    when the move's delta d0 >= 0 and no first rotation can gain d0.
-
-    The first rotation is at some x in {a, b, c}, whose new successor is
-    hx.  If y kept its successor, the rotation's delta is at least
-    M[x][hx] - w[x][hx].  If y is moved too, it is evaluated exactly; the
-    rotation (x, y) removes and adds the same arcs as (y, x), so each pair
-    of moved vertices is one term."""
-    rb = rel[b]
-    sa, sb = succ[a], succ[b]
-    wa, wb, wsb = w[a], w[b], w[sb]
-    ma, mb = M[a][sb], M[b]
-    a_sb = wa[sb]
-    base = a_sb - arc[a] - arc[b]
-    for c in range(1, len(succ)):
-        if rel[c] <= rb:
-            continue
-        sc = succ[c]
-        b_sc, c_sa = wb[sc], w[c][sa]
-        d0 = base + b_sc + c_sa - arc[c]
-        # a rotation at x can make the composite negative only if its
-        # delta + w[x][hx] is below w[x][hx] - d0
-        ta, tb, tc = a_sb - d0, b_sc - d0, c_sa - d0
-        if (
-            d0 < 0
-            or ma < ta
-            or mb[sc] < tb
-            or M[c][sa] < tc
-            or wa[b] + wsb[sc] - b_sc < ta
-            or wa[c] + wsb[sa] - c_sa < ta
-            or wb[c] + w[sc][sa] - c_sa < tb
-        ):
-            yield c
-
-
-def _commit(
-    succ: list[int],
-    pred: list[int],
-    ov: dict[int, int],
-    rots: list[tuple[int, int]],
-) -> tuple[list[int], list[int]]:
-    """New arrays for the tour after the move with overlay ov and then the
-    rotations rots; succ and pred are left as they are."""
-    s, p = succ[:], pred[:]
-    for v, h in ov.items():
-        s[v], p[h] = h, v
-    for x, y in rots:
-        s, p = _rotated_links(s, p, x, y)
-    return s, p
-
-
-def _good_composite(
-    w: _Table,
-    wi: _Table,
-    succ: list[int],
-    pred: list[int],
-    rng: random.Random,
-) -> Optional[tuple[list[int], list[int], Weight]]:
-    """One strictly improving composite: an admissible move followed by up
-    to one (3-cycle) or two (POTDT) good rotations, committed atomically.
-    Returns the new tour's arrays and its weight change.
-
-    3-cycles are scanned in label order, and one is scored only where
-    _cycle3_open's lower bound on its delta, computed on wi = _scaled(w),
-    is negative.  The skipped ones would be rejected anyway, so the first
-    accepted candidate is the one a full scan finds.  Then 4 n^2 random
-    POTDTs are drawn, and each interlaced one is scored."""
-    n = len(succ) - 1
-    verts = range(1, n + 1)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(_walk(succ)):
-        pos[v] = i
-    arc = [wi[v][succ[v]] for v in range(n + 1)]
-    M = _rotation_table(wi, succ)
-    for a in verts:
-        pa = pos[a]
-        # rel[v]: clockwise distance from a to v; (a b c) is admissible
-        # iff 0 < rel[b] < rel[c]
-        rel = [(i - pa) % n for i in pos]
-        for b in verts:
-            if b == a:
-                continue
-            for c in _cycle3_open(wi, succ, arc, M, rel, a, b):
-                ov = {a: succ[b], b: succ[c], c: succ[a]}
-                delta, rots = _score(w, wi, succ, pred, ov, {a, b, c}, 1)
+) -> Optional[tuple[str, int, tuple[int, ...]]]:
+    """Apply the first improving move tried from city a; return its kind,
+    its weight change and the cities whose arcs it changed, or None."""
+    n = len(order)
+    wa = wi[a]
+    i = pos[a]
+    # s = 1 reads the tour forward from a, s = -1 backward
+    for s in (1, -1):
+        # 2-opt: a-b and c-d become a-c and b-d, where b is after a and d
+        # after c
+        b = order[(i + s) % n]
+        wab, wb = wa[b], wi[b]
+        for c in near[a]:
+            wac = wa[c]
+            if wac >= wab:
+                break
+            d = order[(pos[c] + s) % n]
+            delta = wac + wb[d] - wab - wi[c][d]
+            if delta < 0:
+                _swap_arcs(order, pos, a, b, c, d)
+                return "2-opt", delta, (a, b, c, d)
+    for s in (1, -1):
+        # Or-opt: o a..e q ... c d becomes o q ... c a..e d, where the run
+        # a..e holds 1-3 cities: read in direction s, the 3-cycle (o e c)
+        o = order[(i - s) % n]
+        wao, wo = wa[o], wi[o]
+        for c in near[a]:
+            wac = wa[c]
+            if wac >= wao:
+                break
+            wc = wi[c]
+            d = order[(pos[c] + s) % n]
+            e = a
+            for _ in range(3):
+                q = order[(pos[e] + s) % n]
+                we = wi[e]
+                delta = wo[q] + wac + we[d] - wao - we[q] - wc[d]
                 if delta < 0:
-                    return (*_commit(succ, pred, ov, rots), delta)
-    for _ in range(4 * n * n):
-        a, c, b, d = rng.sample(verts, 4)
-        # (a c)(b d) is admissible iff the chords [a,c] and [b,d] interlace
-        pa = pos[a]
-        qc = (pos[c] - pa) % n
-        if ((pos[b] - pa) % n < qc) == ((pos[d] - pa) % n < qc):
-            continue
-        ov = {a: succ[c], c: succ[a], b: succ[d], d: succ[b]}
-        delta, rots = _score(w, wi, succ, pred, ov, {a, c, b, d}, 2)
-        if delta < 0:
-            return (*_commit(succ, pred, ov, rots), delta)
+                    _swap_arcs(order, pos, o, a, c, d)
+                    _swap_arcs(order, pos, o, c, q, e)
+                    _swap_arcs(order, pos, c, e, a, d)
+                    return "or-opt", delta, (o, a, e, q, c, d)
+                if q == c:
+                    break
+                e = q
     return None
+
+
+def _descend(
+    wi: list[list[int]],
+    near: list[list[int]],
+    order: list[int],
+    pos: list[int],
+    cost: int,
+    queue: Sequence[int],
+    trace: Optional[list] = None,
+    scale: int = 1,
+) -> int:
+    """Try _improve from the cities of queue, queueing again each city whose
+    arcs a move changes, until the queue is empty.  Returns the running
+    weight cost after the moves; each move is appended to trace, if given,
+    with its exact weight."""
+    queued = [False] * len(wi)
+    todo: deque[int] = deque()
+    for v in queue:
+        if not queued[v]:
+            queued[v] = True
+            todo.append(v)
+    while todo:
+        a = todo.popleft()
+        queued[a] = False
+        got = _improve(wi, near, order, pos, a)
+        if got is None:
+            continue
+        kind, delta, touched = got
+        cost += delta
+        if trace is not None:
+            trace.append((kind, None, _exact(cost, scale)))
+        for v in touched:
+            if not queued[v]:
+                queued[v] = True
+                todo.append(v)
+    return cost
+
+
+def _kick(
+    wi: list[list[int]], order: list[int], pos: list[int], rng: random.Random
+) -> tuple[int, tuple[int, ...]]:
+    """Apply a random double bridge: the POTDT (a c)(b d) for four cities
+    a, b, c, d in tour order, which turns a X Y Z d' into a Z Y X d', d'
+    the city after d.  Returns its weight change and its 8 endpoints."""
+    n = len(order)
+    i, j, k, m = sorted(rng.sample(range(n), 4))
+    a, b, c, d = order[i], order[j], order[k], order[m]
+    a1, b1, c1, d1 = order[i + 1], order[j + 1], order[k + 1], order[(m + 1) % n]
+    delta = (wi[a][c1] + wi[c][a1] + wi[b][d1] + wi[d][b1]) - (
+        wi[a][a1] + wi[b][b1] + wi[c][c1] + wi[d][d1]
+    )
+    mid = order[k + 1:m + 1] + order[j + 1:k + 1] + order[i + 1:j + 1]
+    order[i + 1:m + 1] = mid
+    for p, v in enumerate(mid, i + 1):
+        pos[v] = p
+    return delta, (a, a1, b, b1, c, c1, d, d1)
 
 
 def tsp_solve(
     wm: WeightMatrix, seed: int, budget: Optional[int] = None
 ) -> tuple[list[int], Weight, list]:
-    """Seeded local search; returns (tour, weight, trace of accepted steps).
+    """Seeded iterated local search; returns (tour, weight, trace).
 
-    The returned weight equals tour_weight of the returned tour and never
-    exceeds the starting weight; every accepted step strictly decreases it.
-    budget caps the number of composite steps (default 20 n); it must be
+    The trace starts with ("start", None, weight of the shuffled tour) and
+    logs each descent move ("2-opt" or "or-opt") and each kept kick
+    ("kick") with the weight after it, so its weights strictly decrease.
+    The returned weight equals tour_weight of the returned tour, and no
+    improving 2-opt or Or-opt move is left from any city's neighbour list.
+    budget is the number of kicks (default n ceil(ln n)); it must be
     nonnegative.  Weights must be int or Fraction.
     """
     n = wm.n
     if n < 4:
         raise ValueError("tsp_solve requires n >= 4")
     if budget is None:
-        budget = 20 * n
+        budget = n * math.ceil(math.log(n))
     elif budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     # the running weight is only exact, and so only equal to a fresh
@@ -437,26 +335,41 @@ def tsp_solve(
         raise ValueError("tsp_solve requires int or Fraction weights")
     # weights indexed by vertex labels: row and column 0 are padding
     w = [[0] * (n + 1)] + [[0, *row] for row in wm.rows]
-    wi = _scaled(w)
+    wi, scale = _scaled(w)
+    near = _nearest(wi)
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    weight = tour_weight(wm, order)
-    trace: list = [("start", None, weight)]
-    succ, pred, weight = _rotation_sweep(w, *_links(order), weight, trace)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    trace: list = [("start", None, tour_weight(wm, order))]
+    cost = sum(wi[order[i - 1]][v] for i, v in enumerate(order))
+    cost = _descend(wi, near, order, pos, cost, order[:], trace, scale)
     for _ in range(budget):
-        got = _good_composite(w, wi, succ, pred, rng)
-        if got is None:
-            break
-        succ, pred, delta = got
-        weight += delta
-        trace.append(("composite", None, weight))
-        succ, pred, weight = _rotation_sweep(w, succ, pred, weight, trace)
-    # Every accepted step strictly improves, so the best tour is the last.
-    # Return its weight as tour_weight sums it: an int whenever every arc
-    # weight on the tour is an int, as the running sum need not be.
-    tour = _walk(succ)
+        saved = order[:], pos[:]
+        delta, ends = _kick(wi, order, pos, rng)
+        kicked = _descend(wi, near, order, pos, cost + delta, ends)
+        if kicked < cost:
+            cost = kicked
+            trace.append(("kick", None, _exact(cost, scale)))
+        else:
+            order, pos = saved
+    # don't-look bits miss a move of a city whose own arcs stayed while a
+    # later move changed its partner's; full passes until one moves nothing
+    # leave no improving neighbour-list move
+    steps = None
+    while steps != len(trace):
+        steps = len(trace)
+        cost = _descend(wi, near, order, pos, cost, order[:], trace, scale)
+    # Return the weight as tour_weight sums it: an int whenever every arc
+    # weight on the tour is an int, as the scaled running weight need not
+    # say.
+    i = pos[1]
+    tour = order[i:] + order[:i]
     final = tour_weight(wm, tour)
-    if final != weight:
-        raise AssertionError(f"running weight drifted: {weight} != {final}")
+    if final * scale != cost:
+        raise AssertionError(
+            f"running weight drifted: {_exact(cost, scale)} != {final}"
+        )
     return tour, final, trace

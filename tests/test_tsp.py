@@ -1,6 +1,8 @@
 import itertools
+import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 import tsp_reference
 from hamperm import tsp
 from hamperm.graphs import ParseError, complete_graph
+from hamperm.oracle import canonical_circuit, held_karp
 from hamperm.tour import Move, Tour
 from hamperm.tsp import (
     WeightMatrix,
@@ -136,29 +139,42 @@ def _padded(wm):
     return [[0] * (wm.n + 1)] + [[0, *row] for row in wm.rows]
 
 
+def _positions(order):
+    pos = [0] * (len(order) + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
+
+
 def test_good_set_matches_weight_delta():
+    # the weight change a kick or a descent move reads off the arcs it
+    # changes is the re-summed change, in the scaled units of the search
     rng = random.Random(4)
-    wm = random_matrix(rng, 9)
-    w = _padded(wm)
-    host = complete_graph(9)
-    for _ in range(200):
-        order = list(range(1, 10))
-        rng.shuffle(order)
-        t = Tour(host, order)
-        if rng.random() < 0.5:
-            a, b, c = rng.sample(range(1, 10), 3)
-            m = Move.cycle3(a, b, c)
-        else:
-            a, c, b, d = rng.sample(range(1, 10), 4)
-            m = Move.potdt(a, c, b, d)
-        if not t.admissible(m):
-            continue
-        succ, _ = tsp._links(t.order)
-        ov = {v: succ[u] for v, u in m.perm().items()}
-        before = tour_weight(wm, t)
-        t2 = t.copy()
-        t2.apply(m)
-        assert tsp._move_delta(w, ov, succ) == tour_weight(wm, t2) - before
+    seen = {"kick": 0, "2-opt": 0, "or-opt": 0}
+    for _, wm in _weight_cases(4):
+        n = wm.n
+        wi, scale = tsp._scaled(_padded(wm))
+        near = tsp._nearest(wi)
+        for _ in range(40):
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            pos = _positions(order)
+            before = tour_weight(wm, order)
+            if rng.random() < 0.3:
+                delta, ends = tsp._kick(wi, order, pos, rng)
+                kind = "kick"
+                assert len(ends) == 8
+            else:
+                got = tsp._improve(wi, near, order, pos, rng.randint(1, n))
+                if got is None:
+                    continue
+                kind, delta, _ = got
+                assert delta < 0
+            assert sorted(order) == list(range(1, n + 1))
+            assert pos == _positions(order)
+            assert delta == (tour_weight(wm, order) - before) * scale
+            seen[kind] += 1
+    assert min(seen.values()) > 0
 
 
 def test_four_city_golden():
@@ -219,7 +235,8 @@ def test_tsp_rejects_inexact_weights():
 
 def _reference_cases():
     """(name, matrix) pairs covering integer weights at n = 4..24, Fraction
-    weights, many tied weights, and integer/Fraction mixes."""
+    weights, many tied weights, and integer/Fraction mixes.  Up to n = 9
+    every neighbour list holds all the other cities."""
     rng = random.Random(2024)
     cases = [(f"int-n{n}", random_matrix(rng, n)) for n in range(4, 25)]
     for n in range(5, 13):
@@ -246,22 +263,10 @@ def _reference_cases():
 REFERENCE_CASES = _reference_cases()
 
 
-@pytest.mark.parametrize(
-    "wm", [wm for _, wm in REFERENCE_CASES], ids=[k for k, _ in REFERENCE_CASES]
-)
-def test_tsp_matches_reference(wm):
-    for seed, budget in ((11, None), (12, 0), (13, 3)):
-        got = tsp_solve(wm, seed, budget)
-        want = tsp_reference.tsp_solve(wm, seed, budget)
-        assert got == want
-        # the reported weight has the reference's type too (int vs Fraction)
-        assert type(got[1]) is type(want[1])
-
-
 def _perfbench_style_cases():
-    """Symmetric integer weights in 1..1000 at n = 30, 36 and 40: larger,
-    better-optimized tours than REFERENCE_CASES, where most composite
-    candidates are skipped by their lower bound."""
+    """Symmetric integer weights in 1..1000 at n = 30, 36 and 40, the size
+    of the benchmark's tsp workload, where a K-nearest list holds only a
+    fraction of the cities."""
     cases = []
     for n in (30, 36, 40):
         for k in range(2):
@@ -277,26 +282,16 @@ def _perfbench_style_cases():
 PERFBENCH_STYLE_CASES = _perfbench_style_cases()
 
 
-@pytest.mark.parametrize(
-    "wm,seed",
-    [(wm, seed) for _, wm, seed in PERFBENCH_STYLE_CASES],
-    ids=[k for k, _, _ in PERFBENCH_STYLE_CASES],
-)
-def test_tsp_matches_reference_at_perfbench_sizes(wm, seed):
-    assert tsp_solve(wm, seed) == tsp_reference.tsp_solve(wm, seed)
-
-
 def test_weight_drift_check_runs_under_optimize():
-    # a rotation sweep that misreports its weight must be caught by the
+    # a descent that misreports its running weight must be caught by the
     # final recount, under python -O too
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from hamperm import tsp\n"
-        "orig = tsp._rotation_sweep\n"
-        "def sweep(*args):\n"
-        "    succ, pred, weight = orig(*args)\n"
-        "    return succ, pred, weight + 1\n"
-        "tsp._rotation_sweep = sweep\n"
+        "orig = tsp._descend\n"
+        "def descend(*args):\n"
+        "    return orig(*args) + 1\n"
+        "tsp._descend = descend\n"
         f"wm = tsp.WeightMatrix({FOUR_CITY!r})\n"
         "try:\n"
         "    tsp.tsp_solve(wm, seed=0)\n"
@@ -312,7 +307,7 @@ def test_weight_drift_check_runs_under_optimize():
     assert proc.returncode == 0
 
 
-def _commit_cases(seed):
+def _weight_cases(seed):
     """(w, wm) per weight kind (int, Fraction, tied) and n, with w the
     table tsp_solve builds from wm."""
     rng = random.Random(seed)
@@ -333,49 +328,253 @@ def _commit_cases(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_commit_matches_tour_apply_and_rotate(seed):
-    # the arrays tsp_solve commits are those of Tour.apply then Tour.rotate
+def test_moves_match_tour_apply_and_rotate(seed):
+    # each move the search makes on its order/pos lists is one of the
+    # paper's: a 2-opt move is Tour.rotate, an Or-opt move Tour.apply of
+    # a 3-cycle, a kick Tour.apply of an interlaced POTDT
     rng = random.Random(seed)
-    tally = {"cycle3": 0, "potdt": 0, "rotations": 0}
-    for w, wm in _commit_cases(seed):
+    tally = {"2-opt": 0, "or-opt": 0, "kick": 0}
+    for w, wm in _weight_cases(seed):
         n = wm.n
+        wi, _ = tsp._scaled(w)
+        near = tsp._nearest(wi)
         host = complete_graph(n)
         order = list(range(1, n + 1))
         rng.shuffle(order)
-        t = Tour(host, order)
+        pos = _positions(order)
         for _ in range(30):
-            k = 3 if rng.random() < 0.5 else 4
-            verts = rng.sample(range(1, n + 1), k)
-            m = Move.cycle3(*verts) if k == 3 else Move.potdt(*verts)
-            if not t.admissible(m):
-                continue
-            succ, pred = tsp._links(t.order)
-            ov = {v: succ[u] for v, u in m.perm().items()}
-            _, rots = tsp._score(w, tsp._scaled(w), succ, pred, ov, set(verts), k - 1)
-            t2 = t.copy().apply(m)
-            for x, y in rots:
-                t2.rotate(x, y)
-            # one more rotation, good or not, between nonadjacent vertices
-            x = rng.choice(verts)
-            near = (x, t2.succ(x), t2.pred(x))
-            ys = [y for y in range(1, n + 1) if y not in near]
-            if ys:
-                rots = [*rots, (x, rng.choice(ys))]
-                t2.rotate(*rots[-1])
-            got = tsp._commit(succ, pred, ov, rots)
-            assert got == tsp._links(t2.order)
-            assert tsp._walk(got[0]) == t2.sequence_from(1)
-            # the current tour's arrays are left as they were
-            assert (succ, pred) == tsp._links(t.order)
-            tally[m.kind] += 1
-            tally["rotations"] += len(rots)
-            t = t2
+            t = Tour(host, order)
+            if rng.random() < 0.3:
+                _, (a, _, b, _, c, _, d, _) = tsp._kick(wi, order, pos, rng)
+                m = Move.potdt(a, c, b, d)
+                assert t.admissible(m)
+                t.apply(m)
+                kind = "kick"
+            else:
+                got = tsp._improve(wi, near, order, pos, rng.randint(1, n))
+                if got is None:
+                    order = list(range(1, n + 1))
+                    rng.shuffle(order)
+                    pos = _positions(order)
+                    continue
+                kind, _, touched = got
+                if kind == "2-opt":
+                    a, b, c, d = touched
+                    t.rotate(*((a, c) if t.succ(a) == b else (b, d)))
+                else:
+                    o, a, e, q, c, d = touched
+                    forward = t.succ(e) == q
+                    m = Move.cycle3(o, e, c) if forward else Move.cycle3(q, a, d)
+                    assert t.admissible(m)
+                    t.apply(m)
+            # a kick keeps the direction; a reversal may read the cycle
+            # backwards
+            if kind == "kick":
+                assert order[pos[1]:] + order[:pos[1]] == t.sequence_from(1)
+            assert canonical_circuit(order, False) == canonical_circuit(
+                t.order, False
+            )
+            assert pos == _positions(order)
+            tally[kind] += 1
     assert min(tally.values()) > 0
 
 
 def test_solved_tours_are_one_n_cycle():
-    for seed, (_, wm) in enumerate(_commit_cases(3)):
+    for seed, (_, wm) in enumerate(_weight_cases(3)):
         tour, weight, _ = tsp_solve(wm, seed)
         assert sorted(tour) == list(range(1, wm.n + 1))
         assert tour[0] == 1
         assert weight == tour_weight(wm, tour)
+
+
+# --------------------------------------------------------------------------
+# the iterated local search: local optimality, scaling, quality
+# --------------------------------------------------------------------------
+
+
+def _read_from(tour, v, s):
+    """The cyclic tour read from v, forward (s = 1) or backward (s = -1)."""
+    seq = tour if s == 1 else tour[::-1]
+    i = seq.index(v)
+    return seq[i:] + seq[:i]
+
+
+def improving_moves(wm, tour, k=8):
+    """Every improving 2-opt or Or-opt move whose first new arc a-c has c
+    among a's k nearest cities (ties broken by label) and is shorter than
+    the arc of a it replaces, as (kind, a, c, weight change).  Each move is
+    built as a new list and re-summed."""
+    n = wm.n
+    base = tour_weight(wm, tour)
+    for a in range(1, n + 1):
+        near = sorted((v for v in range(1, n + 1) if v != a),
+                      key=lambda v: (wm.w(a, v), v))[:k]
+        for s in (1, -1):
+            seq = _read_from(tour, a, s)  # a b ... (2-opt)
+            b = seq[1]
+            for c in near:
+                if wm.w(a, c) >= wm.w(a, b):
+                    continue
+                j = seq.index(c)
+                new = [a] + seq[1:j + 1][::-1] + seq[j + 1:]
+                delta = tour_weight(wm, new) - base
+                if delta < 0:
+                    yield "2-opt", a, c, delta
+            seq = _read_from(tour, seq[-1], s)  # o a ... (Or-opt)
+            o = seq[0]
+            for c in near:
+                if wm.w(a, c) >= wm.w(a, o):
+                    continue
+                for length in (1, 2, 3):
+                    run, rest = seq[1:1 + length], seq[1 + length:]
+                    if c in run:
+                        break
+                    j = rest.index(c)
+                    new = [o] + rest[:j + 1] + run + rest[j + 1:]
+                    delta = tour_weight(wm, new) - base
+                    if delta < 0:
+                        yield "or-opt", a, c, delta
+
+
+def _check_solution(wm, seed, budget):
+    tour, weight, trace = tsp_solve(wm, seed, budget)
+    assert sorted(tour) == list(range(1, wm.n + 1)) and tour[0] == 1
+    assert weight == tour_weight(wm, tour)
+    assert type(weight) is type(tour_weight(wm, tour))
+    weights = [x for _, _, x in trace]
+    assert trace[0][0] == "start" and weights[-1] == weight
+    assert all(b < a for a, b in zip(weights, weights[1:]))
+    assert not list(improving_moves(wm, tour))
+    return tour, weight, trace
+
+
+def test_improving_moves_finds_moves():
+    # the checker is not vacuous: a shuffled tour has improving moves of
+    # both kinds
+    rng = random.Random(9)
+    wm = random_matrix(rng, 20, hi=1000)
+    order = list(range(1, 21))
+    rng.shuffle(order)
+    kinds = {kind for kind, _, _, _ in improving_moves(wm, order)}
+    assert kinds == {"2-opt", "or-opt"}
+
+
+@pytest.mark.parametrize(
+    "wm", [wm for _, wm in REFERENCE_CASES], ids=[k for k, _ in REFERENCE_CASES]
+)
+def test_tsp_reference_cases_are_local_optima(wm):
+    for seed, budget in ((11, None), (12, 0), (13, 3)):
+        _check_solution(wm, seed, budget)
+
+
+@pytest.mark.parametrize(
+    "wm,seed",
+    [(wm, seed) for _, wm, seed in PERFBENCH_STYLE_CASES],
+    ids=[k for k, _, _ in PERFBENCH_STYLE_CASES],
+)
+def test_tsp_perfbench_style_cases_are_local_optima(wm, seed):
+    _check_solution(wm, seed, None)
+
+
+def test_tsp_no_worse_than_reference_on_average():
+    # on the six benchmark-sized cases and 24 seeded n=30 matrices the mean
+    # tour weight is at most that of the search in tests/tsp_reference.py
+    cases = [(wm, seed) for _, wm, seed in PERFBENCH_STYLE_CASES]
+    for j in range(24):
+        rng = random.Random(f"tsp-quality/{j}")
+        cases.append((random_matrix(rng, 30, hi=1000), j))
+    new = [tsp_solve(wm, seed)[1] for wm, seed in cases]
+    old = [tsp_reference.tsp_solve(wm, seed)[1] for wm, seed in cases]
+    assert statistics.fmean(new) <= statistics.fmean(old)
+
+
+def test_scaled_weights_are_ints_in_proportion():
+    for w, wm in _weight_cases(1):
+        scale = math.lcm(*(x.denominator for row in wm.rows for x in row))
+        wi, got = tsp._scaled(w)
+        assert got == scale
+        assert all(type(x) is int for row in wi for x in row)
+        assert all(x * scale == y for r, q in zip(w, wi) for x, y in zip(r, q))
+        if all(type(x) is int for row in wm.rows for x in row):
+            assert (wi, scale) == (w, 1)
+        else:
+            assert 1 < scale <= 420  # denominators 1..7
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scaled_weights_give_the_same_search(seed):
+    # the search decides on the weights scaled to ints, so a Fraction
+    # matrix and the same matrix times the lcm of its denominators give
+    # the same tour and trace, with weights apart by exactly that factor
+    rng = random.Random(seed)
+    for n in (6, 13, 30):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                x = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+                rows[i][j] = rows[j][i] = x
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        assert scale > 1
+        wm = WeightMatrix(rows)
+        wm_int = WeightMatrix([[int(x * scale) for x in row] for row in rows])
+        for solve_seed in range(3):
+            tour, weight, trace = tsp_solve(wm, solve_seed)
+            tour_i, weight_i, trace_i = tsp_solve(wm_int, solve_seed)
+            assert tour == tour_i
+            assert weight * scale == weight_i and type(weight_i) is int
+            assert [k for k, _, _ in trace] == [k for k, _, _ in trace_i]
+            assert [x * scale for _, _, x in trace] == [x for _, _, x in trace_i]
+
+
+def test_tsp_more_kicks_extend_the_same_trajectory():
+    # with one seed a larger budget draws the same kicks first, so both
+    # traces agree up to the last kick the smaller budget kept
+    wm = random_matrix(random.Random(21), 25, hi=1000)
+    _, _, short = tsp_solve(wm, 5, 20)
+    _, _, long = tsp_solve(wm, 5, 60)
+    last = max(i for i, (kind, _, _) in enumerate(short) if kind == "kick")
+    assert long[:last + 1] == short[:last + 1]
+
+
+# --------------------------------------------------------------------------
+# Held-Karp
+# --------------------------------------------------------------------------
+
+
+def _fraction_matrix(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+            rows[i][j] = rows[j][i] = x
+    return WeightMatrix(rows)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_held_karp_matches_brute_force(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        for wm in (random_matrix(rng, n, hi=100), _fraction_matrix(rng, n)):
+            got = held_karp(wm)
+            assert got == brute_force_optimum(wm)
+            assert type(got) is type(brute_force_optimum(wm))
+
+
+def test_held_karp_small_and_capped():
+    assert held_karp(WeightMatrix([[0]])) == 0
+    assert held_karp(WeightMatrix([[0, 3], [3, 0]])) == 6
+    with pytest.raises(ValueError):
+        held_karp(random_matrix(random.Random(14), 14))
+
+
+def test_tsp_held_karp_ratio_no_worse_than_reference():
+    # mean ratio to the optimum on 30 seeded n=12 matrices, against the
+    # search in tests/tsp_reference.py on the same matrices and seeds
+    new, old = [], []
+    for j in range(30):
+        wm = random_matrix(random.Random(f"tsp-held-karp/{j}"), 12, hi=1000)
+        opt = held_karp(wm)
+        new.append(tsp_solve(wm, j)[1] / opt)
+        old.append(tsp_reference.tsp_solve(wm, j)[1] / opt)
+    assert min(new) >= 1
+    assert statistics.fmean(new) <= statistics.fmean(old)

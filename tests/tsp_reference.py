@@ -1,8 +1,11 @@
-"""The TSP local search as it was before delta evaluation, kept verbatim as
-the reference that tsp_solve must reproduce exactly: the same candidates,
-in the same order, and the same (tour, weight, trace) for every input and
-seed.  Each candidate is scored by copying the tour, applying the move and
-its rotations, and re-summing the whole tour weight.
+"""The TSP local search as it was before delta evaluation and before the
+iterated local search replaced it, kept verbatim as the record of the old
+search: good rotation sweeps and composites of a 3-cycle or POTDT with up
+to one or two good rotations.  Each candidate is scored by copying the
+tour, applying the move and its rotations, and re-summing the whole tour
+weight.  tests/test_tsp.py requires tsp_solve's mean weight on n=30-40
+matrices and its mean ratio to the Held-Karp optimum at n=12 to be no worse
+than this search's.
 """
 
 from __future__ import annotations
