@@ -462,9 +462,13 @@ def test_improving_moves_finds_moves():
 @pytest.mark.parametrize(
     "wm", [wm for _, wm in REFERENCE_CASES], ids=[k for k, _ in REFERENCE_CASES]
 )
-def test_tsp_reference_cases_are_local_optima(wm):
+def test_tsp_matches_reference(wm):
+    # the search differs from tests/tsp_reference.py, so the tours may too:
+    # both start from the same seeded shuffle, and the new tour is a
+    # neighbour-list local optimum
     for seed, budget in ((11, None), (12, 0), (13, 3)):
-        _check_solution(wm, seed, budget)
+        _, _, trace = _check_solution(wm, seed, budget)
+        assert trace[0] == tsp_reference.tsp_solve(wm, seed, budget)[2][0]
 
 
 @pytest.mark.parametrize(
@@ -472,8 +476,9 @@ def test_tsp_reference_cases_are_local_optima(wm):
     [(wm, seed) for _, wm, seed in PERFBENCH_STYLE_CASES],
     ids=[k for k, _, _ in PERFBENCH_STYLE_CASES],
 )
-def test_tsp_perfbench_style_cases_are_local_optima(wm, seed):
-    _check_solution(wm, seed, None)
+def test_tsp_matches_reference_at_perfbench_sizes(wm, seed):
+    _, _, trace = _check_solution(wm, seed, None)
+    assert trace[0] == tsp_reference.tsp_solve(wm, seed)[2][0]
 
 
 def test_tsp_no_worse_than_reference_on_average():
