@@ -357,11 +357,9 @@ def find_two_paths(g: AnyGraph) -> list[TwoPath]:
 def contract(g: AnyGraph) -> ContractedGraph:
     """Reduce g's forced chains; see ContractedGraph for the result."""
     if g.directed:
-        (out, _inn), deleted, chains, cyc = _reduce_digraph(g)
-        remaining = ((u, v) for u in out for v in out[u])
+        (adj, _inn), deleted, chains, cyc = _reduce_digraph(g)
     else:
         adj, deleted, chains, cyc = _reduce_graph(g)
-        remaining = ((u, v) for u in adj for v in adj[u] if u < v)
     if cyc is not None:
         # whole host collapses to one forced circuit
         one = Digraph(1) if g.directed else Graph(1)
@@ -381,9 +379,12 @@ def contract(g: AnyGraph) -> ContractedGraph:
         elements[len(elements) + 1] = tp
     cond: AnyGraph = (Digraph if g.directed else Graph)(len(elements))
     add = cond.add_arc if g.directed else cond.add_edge
-    for u, v in remaining:
-        if u not in interior and v not in interior:
-            add(to_new[u], to_new[v])
+    # each reduced neighbour set is dropped once read, so the reduction's
+    # working copy shrinks as cond grows and the two do not peak together
+    for u in range(1, g.n + 1):
+        for v in adj.pop(u):
+            if (g.directed or u < v) and u not in interior and v not in interior:
+                add(to_new[u], to_new[v])
     for dummy, tp in enumerate(dummies, len(keep) + 1):
         add(to_new[tp.start], dummy)
         add(dummy, to_new[tp.end])

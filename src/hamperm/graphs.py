@@ -323,6 +323,8 @@ def read_graph(path: str) -> AnyGraph:
     g: AnyGraph | None = None
     expected = 0
     count = 0
+    # one int object per vertex label, shared by every edge that names it
+    labels: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -347,6 +349,7 @@ def read_graph(path: str) -> AnyGraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError("non-integer vertex", lineno) from None
+        u, v = labels.setdefault(u, u), labels.setdefault(v, v)
         try:
             if header == "d":
                 g.add_arc(u, v)

@@ -1,7 +1,14 @@
 """Randomized Hamilton-circuit search for graphs and digraphs.
 
 The solver keeps a pseudo-Hamilton tour of the host and repeatedly tries to
-convert pseudo-arcs (tour arcs absent from the host) into host arcs:
+convert pseudo-arcs (tour arcs absent from the host) into host arcs.  The
+search may start from any n-cycle; it starts from a greedy randomized path
+cover (_start_order): runs of host arcs, each extended to the unvisited
+out-neighbour with the fewest unvisited out-neighbours left (Warnsdorff's
+rule, seeded tie picks), and a jump to the next unvisited vertex of a
+seeded shuffle when a run is stuck.  Its pseudo-arcs are only those jumps
+and the closing arc, so on sparse random hosts a search begins with a few
+pseudo-arcs instead of about n.  Each iteration then:
 
     * sample a few host edges at a pseudo-arc vertex and at its successor,
     * build candidate 3-cycle and pair-of-transposition moves from them,
@@ -331,11 +338,12 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     rng = random.Random(rp.seed)
     nbrs = _sorted_neighbors(h)
     adj = h.out_adj if h.directed else h.adj
-    t = Tour(h, _shuffled(n, rng))
+    t = Tour(h, _start_order(h, nbrs, rng))
     backtrack: deque[Move] = deque()
     rep = SolveReport("timeout")
     # digraph mode has no rotations, so a bad start can oscillate; restart
-    # from a fresh shuffle when |PSEUDO| stops improving
+    # from a new greedy start (the rng has moved on, so its shuffle and tie
+    # picks differ) when |PSEUDO| stops improving
     best_pseudo = n + 1
     since_improve = 0
     stall_limit = max(30, 2 * n)
@@ -343,7 +351,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         if not t.pseudo_keys:
             break
         if h.directed and since_improve >= stall_limit:
-            t = Tour(h, _shuffled(n, rng))
+            t = Tour(h, _start_order(h, nbrs, rng))
             backtrack.clear()
             best_pseudo = n + 1
             since_improve = 0
@@ -406,10 +414,42 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     return rep
 
 
-def _shuffled(n: int, rng: random.Random) -> list[int]:
-    verts = list(range(1, n + 1))
-    rng.shuffle(verts)
-    return verts
+def _start_order(
+    h: AnyGraph, nbrs: tuple[dict, dict], rng: random.Random
+) -> list[int]:
+    """A start tour that is a greedy randomized path cover of h, in O(n + m).
+
+    The tour is built as runs of host arcs.  A run steps from its last
+    vertex v to an unvisited out-neighbour with the fewest unvisited
+    out-neighbours left (Warnsdorff's rule), ties broken by one seeded pick
+    among them in the order of the sorted list nbrs[0][v].  When v has no
+    unvisited out-neighbour, the next run starts at the next unvisited
+    vertex of one seeded shuffle of 1..n; the shuffle's first vertex starts
+    the first run.  Visiting v lowers the count of each in-neighbour
+    (nbrs[1][v]).  The runs in turn are the tour, so its pseudo-arcs are at
+    most the jumps between runs and the closing arc.
+    """
+    out_nbrs, in_nbrs = nbrs
+    n = h.n
+    jumps = list(range(1, n + 1))
+    rng.shuffle(jumps)
+    left = [0] + [len(out_nbrs[v]) for v in range(1, n + 1)]
+    seen = bytearray(n + 1)
+    order: list[int] = []
+    for first in jumps:
+        v = first
+        while not seen[v]:
+            seen[v] = 1
+            order.append(v)
+            for u in in_nbrs[v]:
+                left[u] -= 1
+            free = [w for w in out_nbrs[v] if not seen[w]]
+            if not free:
+                break
+            low = min([left[w] for w in free])
+            ties = [w for w in free if left[w] == low]
+            v = ties[0] if len(ties) == 1 else rng.choice(ties)
+    return order
 
 
 # --------------------------------------------------------------------------

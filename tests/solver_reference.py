@@ -19,7 +19,11 @@ reference follows the solver's draw order:
       host with n >= 3, ordered u*(n+1) + v otherwise) and draws one index
       into it, as hamperm.solver._draw_pseudo does with the tour's own list;
     * edge samples use _sample, a verbatim copy of hamperm.solver._sample;
-    * _candidates stops drawing once test_cap moves have been tested.
+    * _candidates stops drawing once test_cap moves have been tested;
+    * the start tour and the digraph restart come from _start_order, a
+      verbatim copy of hamperm.solver._start_order (a greedy randomized
+      path cover), in place of a shuffle of 1..n; the sorted neighbour
+      lists it reads are built once per solve from _host_neighbors.
 
 Everything else, the Move objects, canonical keys, overlays and
 diff_score included, is the earlier code.
@@ -458,12 +462,16 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             return SolveReport("circuit", [1, 2])
         return SolveReport("timeout", detail="no circuit on 2 vertices")
     rng = random.Random(rp.seed)
-    t = Tour(h, _shuffled(n, rng))
+    nbrs = (
+        {v: _host_neighbors(h, v) for v in range(1, n + 1)},
+        {v: _host_neighbors(h, v, incoming=True) for v in range(1, n + 1)},
+    )
+    t = Tour(h, _start_order(h, nbrs, rng))
     abb = rebase(t)
     backtrack: deque[Move] = deque()
     rep = SolveReport("timeout")
     # digraph mode has no rotations, so a bad start can oscillate; restart
-    # from a fresh shuffle when |PSEUDO| stops improving
+    # from a new greedy start when |PSEUDO| stops improving
     best_pseudo = n + 1
     since_improve = 0
     stall_limit = max(30, 2 * n)
@@ -472,7 +480,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         if not pseudos:
             break
         if h.directed and since_improve >= stall_limit:
-            t = Tour(h, _shuffled(n, rng))
+            t = Tour(h, _start_order(h, nbrs, rng))
             abb = rebase(t)
             backtrack.clear()
             best_pseudo = n + 1
@@ -550,10 +558,42 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     return rep
 
 
-def _shuffled(n: int, rng: random.Random) -> list[int]:
-    verts = list(range(1, n + 1))
-    rng.shuffle(verts)
-    return verts
+def _start_order(
+    h: AnyGraph, nbrs: tuple[dict, dict], rng: random.Random
+) -> list[int]:
+    """A start tour that is a greedy randomized path cover of h, in O(n + m).
+
+    The tour is built as runs of host arcs.  A run steps from its last
+    vertex v to an unvisited out-neighbour with the fewest unvisited
+    out-neighbours left (Warnsdorff's rule), ties broken by one seeded pick
+    among them in the order of the sorted list nbrs[0][v].  When v has no
+    unvisited out-neighbour, the next run starts at the next unvisited
+    vertex of one seeded shuffle of 1..n; the shuffle's first vertex starts
+    the first run.  Visiting v lowers the count of each in-neighbour
+    (nbrs[1][v]).  The runs in turn are the tour, so its pseudo-arcs are at
+    most the jumps between runs and the closing arc.
+    """
+    out_nbrs, in_nbrs = nbrs
+    n = h.n
+    jumps = list(range(1, n + 1))
+    rng.shuffle(jumps)
+    left = [0] + [len(out_nbrs[v]) for v in range(1, n + 1)]
+    seen = bytearray(n + 1)
+    order: list[int] = []
+    for first in jumps:
+        v = first
+        while not seen[v]:
+            seen[v] = 1
+            order.append(v)
+            for u in in_nbrs[v]:
+                left[u] -= 1
+            free = [w for w in out_nbrs[v] if not seen[w]]
+            if not free:
+                break
+            low = min([left[w] for w in free])
+            ties = [w for w in free if left[w] == low]
+            v = ties[0] if len(ties) == 1 else rng.choice(ties)
+    return order
 
 
 def _condense(g: AnyGraph):

@@ -18,6 +18,7 @@ import pytest
 import solver_reference
 from hamperm import solver
 from hamperm.graphs import (
+    Digraph,
     Graph,
     complete_graph,
     gen_boll_digraph,
@@ -33,6 +34,8 @@ from hamperm.solver import (
     _pick_rotation,
     _potdt,
     _sample,
+    _sorted_neighbors,
+    _start_order,
     solve_digraph,
     solve_graph,
 )
@@ -390,6 +393,13 @@ def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
         return out
 
     real = solver._candidates
+    # a uniformly random start has about n pseudo-arcs, so every case runs
+    # enough iterations to reach the cap; the greedy start leaves too few
+    monkeypatch.setattr(
+        solver,
+        "_start_order",
+        lambda h, nbrs, rng: rng.sample(range(1, h.n + 1), h.n),
+    )
     monkeypatch.setattr(solver, "_cycle3", counted("cycle3", solver._cycle3))
     monkeypatch.setattr(solver, "_potdt", counted("potdt", solver._potdt))
     monkeypatch.setattr(solver, "_candidates", candidates)
@@ -401,3 +411,65 @@ def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
     assert totals["capped"] > 0, totals
     if not caps:
         assert totals["potdt"] > 0, totals
+
+
+# --------------------------------------------------------------------------
+# the greedy start
+# --------------------------------------------------------------------------
+
+# the check below is O(n^3) on a complete host, so it stops at n=120 there
+START_CASES = [
+    (model, n, seed)
+    for model in ("boll", "r3", "bolld", "inout", "complete")
+    for n, seed in ((4, 1), (8, 2), (30, 3), (120, 4), (400, 5))
+    if model != "complete" or n <= 120
+]
+
+
+@pytest.mark.parametrize(
+    "model,n,seed", START_CASES, ids=[f"{m}-n{n}-s{s}" for m, n, s in START_CASES]
+)
+def test_start_order_is_a_warnsdorff_path_cover(model, n, seed):
+    h = gen_in_out(n, 2, 2, seed) if model == "inout" else _host(model, n, seed)
+    nbrs = _sorted_neighbors(h)
+    order = _start_order(h, nbrs, random.Random(seed))
+    assert sorted(order) == list(range(1, n + 1))
+    seen = set()
+    jumps = 0
+    for v, nxt in zip(order, order[1:]):
+        seen.add(v)
+        free = [w for w in nbrs[0][v] if w not in seen]
+        if not free:
+            # a run ends only where it cannot go on
+            jumps += 1
+            continue
+        # inside a run every step is a host arc to an unvisited
+        # out-neighbour with the fewest unvisited out-neighbours left
+        left = {w: sum(x not in seen for x in nbrs[0][w]) for w in free}
+        assert nxt in left and left[nxt] == min(left.values())
+    t = Tour(h, order)
+    assert len(t.pseudo_keys) <= jumps + 1
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (9, 2), (50, 3), (500, 4)])
+def test_start_order_follows_a_hidden_cycle(n, seed):
+    rng = random.Random(seed)
+    label = rng.sample(range(1, n + 1), n)
+    ring = list(zip(label, label[1:] + label[:1]))
+    for h in (Graph(n, ring), Digraph(n, ring)):
+        for s in range(5):
+            t = Tour(h, _start_order(h, _sorted_neighbors(h), random.Random(s)))
+            assert len(t.pseudo_keys) <= 1
+
+
+def test_start_order_is_seeded():
+    for h in (gen_boll_graph(300, 1)[0], gen_in_out(300, 2, 2, 1)):
+        nbrs = _sorted_neighbors(h)
+        runs = [_start_order(h, nbrs, random.Random(s)) for s in (7, 7, 8)]
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]
+    # on a complete host every step is a tie, broken by the seeded pick
+    k = complete_graph(12)
+    nbrs = _sorted_neighbors(k)
+    seconds = {_start_order(k, nbrs, random.Random(s))[1] for s in range(40)}
+    assert len(seconds) > 2
