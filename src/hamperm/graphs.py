@@ -1,6 +1,7 @@
 """Graph and digraph types, random models, and edge-list file I/O.
 
-Vertices are 1-based integers throughout (in memory and on disk).
+Vertices are 1-based integers throughout (in memory and on disk).  A graph
+stores each edge once, in its adjacency sets.
 
 Random models:
     * gen_boll_graph    - uniformly shuffle the edges of K_n, keep the shortest
@@ -42,7 +43,12 @@ class ParseError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph on vertices 1..n."""
+    """Simple undirected graph on vertices 1..n.
+
+    adj is the only edge store; m counts the edges added.  edges, the set of
+    (u, v) with u < v, is built from adj on each access in O(m): it serves
+    I/O and tests, not hot loops.
+    """
 
     directed = False
 
@@ -51,7 +57,7 @@ class Graph:
             raise ValueError("n must be >= 1")
         self.n = n
         self.adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-        self._edges: set[tuple[int, int]] = set()
+        self.m = 0
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -60,20 +66,15 @@ class Graph:
             raise ValueError(f"loop edge {u}-{v}")
         if not (1 <= u <= self.n and 1 <= v <= self.n):
             raise ValueError(f"vertex out of range in edge {u}-{v}")
-        e = (u, v) if u < v else (v, u)
-        if e in self._edges:
+        if v in self.adj[u]:
             raise ValueError(f"duplicate edge {u}-{v}")
-        self._edges.add(e)
         self.adj[u].add(v)
         self.adj[v].add(u)
-
-    @property
-    def m(self) -> int:
-        return len(self._edges)
+        self.m += 1
 
     @property
     def edges(self) -> set[tuple[int, int]]:
-        return self._edges
+        return {(u, v) for u, ws in self.adj.items() for v in ws if u < v}
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -93,21 +94,22 @@ class Graph:
         return self.adj[v]
 
     def copy(self) -> "Graph":
-        return Graph(self.n, self._edges)
+        return Graph(self.n, self.edges)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
 class Digraph:
-    """Simple directed graph on vertices 1..n (no loops, no duplicate arcs)."""
+    """Simple directed graph on vertices 1..n (no loops, no duplicate arcs).
+
+    out_adj and in_adj are the only arc store; m counts the arcs added.
+    arcs is built from out_adj on each access in O(m): it serves I/O and
+    tests, not hot loops.
+    """
 
     directed = True
 
@@ -117,7 +119,7 @@ class Digraph:
         self.n = n
         self.out_adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
         self.in_adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-        self._arcs: set[tuple[int, int]] = set()
+        self.m = 0
         for u, v in arcs:
             self.add_arc(u, v)
 
@@ -126,19 +128,15 @@ class Digraph:
             raise ValueError(f"loop arc ({u},{v})")
         if not (1 <= u <= self.n and 1 <= v <= self.n):
             raise ValueError(f"vertex out of range in arc ({u},{v})")
-        if (u, v) in self._arcs:
+        if v in self.out_adj[u]:
             raise ValueError(f"duplicate arc ({u},{v})")
-        self._arcs.add((u, v))
         self.out_adj[u].add(v)
         self.in_adj[v].add(u)
-
-    @property
-    def m(self) -> int:
-        return len(self._arcs)
+        self.m += 1
 
     @property
     def arcs(self) -> set[tuple[int, int]]:
-        return self._arcs
+        return {(u, v) for u, ws in self.out_adj.items() for v in ws}
 
     def outdeg(self, v: int) -> int:
         return len(self.out_adj[v])
@@ -156,14 +154,10 @@ class Digraph:
         return v in self.out_adj[u]
 
     def copy(self) -> "Digraph":
-        return Digraph(self.n, self._arcs)
+        return Digraph(self.n, self.arcs)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self._arcs == other._arcs
-        )
+        return isinstance(other, Digraph) and self.out_adj == other.out_adj
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -276,9 +270,10 @@ def gen_in_out(n: int, i: int, o: int, seed: int) -> Digraph:
 def to_undirected(d: Digraph) -> Graph:
     """Forget arc orientation; antiparallel arc pairs collapse to one edge."""
     g = Graph(d.n)
-    for u, v in d.arcs:
-        if not g.has_edge(u, v):
-            g.add_edge(u, v)
+    for u, ws in d.out_adj.items():
+        for v in ws:
+            if not g.has_edge(u, v):
+                g.add_edge(u, v)
     return g
 
 
@@ -304,64 +299,59 @@ def is_strongly_connected(d: Digraph) -> bool:
 
 
 def write_graph(g: AnyGraph, path: str) -> None:
+    adj = g.out_adj if g.directed else g.adj
     with open(path, "w", encoding="utf-8") as fh:
-        if g.directed:
-            fh.write(f"d {g.n} {g.m}\n")
-            pairs = sorted(g.arcs)
-        else:
-            fh.write(f"g {g.n} {g.m}\n")
-            pairs = sorted(g.edges)
-        for u, v in pairs:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{'d' if g.directed else 'g'} {g.n} {g.m}\n")
+        for u in range(1, g.n + 1):
+            for v in sorted(adj[u]):
+                if g.directed or v > u:
+                    fh.write(f"{u} {v}\n")
 
 
 def read_graph(path: str) -> AnyGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
     header = None
     header_line = 0
     g: AnyGraph | None = None
     expected = 0
-    count = 0
     # one int object per vertex label, shared by every edge that names it
     labels: dict[int, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 3 or parts[0] not in ("g", "d"):
-                raise ParseError("expected header 'g n m' or 'd n m'", lineno)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if header is None:
+                if len(parts) != 3 or parts[0] not in ("g", "d"):
+                    raise ParseError("expected header 'g n m' or 'd n m'", lineno)
+                try:
+                    n, expected = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ParseError("non-integer header fields", lineno) from None
+                if n < 1 or expected < 0:
+                    raise ParseError("header values out of range", lineno)
+                header = parts[0]
+                header_line = lineno
+                g = Digraph(n) if header == "d" else Graph(n)
+                continue
+            if len(parts) != 2:
+                raise ParseError("expected 'u v'", lineno)
             try:
-                n, expected = int(parts[1]), int(parts[2])
+                u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
-            if n < 1 or expected < 0:
-                raise ParseError("header values out of range", lineno)
-            header = parts[0]
-            header_line = lineno
-            g = Digraph(n) if header == "d" else Graph(n)
-            continue
-        if len(parts) != 2:
-            raise ParseError("expected 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer vertex", lineno) from None
-        u, v = labels.setdefault(u, u), labels.setdefault(v, v)
-        try:
-            if header == "d":
-                g.add_arc(u, v)
-            else:
-                g.add_edge(u, v)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        count += 1
+                raise ParseError("non-integer vertex", lineno) from None
+            u, v = labels.setdefault(u, u), labels.setdefault(v, v)
+            try:
+                if header == "d":
+                    g.add_arc(u, v)
+                else:
+                    g.add_edge(u, v)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
     if header is None:
         raise ParseError("empty file", 1)
-    if count != expected:
+    if g.m != expected:
         raise ParseError(
-            f"header declares {expected} lines but found {count}", header_line
+            f"header declares {expected} lines but found {g.m}", header_line
         )
     return g

@@ -143,6 +143,33 @@ def test_digraph_roundtrip(tmp_path):
     assert d2.directed and d2 == d
 
 
+@pytest.mark.parametrize(
+    "g,text",
+    [
+        (Graph(4, [(3, 4), (2, 1), (4, 1), (1, 3)]), "g 4 4\n1 2\n1 3\n1 4\n3 4\n"),
+        (
+            Digraph(3, [(3, 1), (2, 3), (1, 3), (2, 1), (1, 2)]),
+            "d 3 5\n1 2\n1 3\n2 1\n2 3\n3 1\n",
+        ),
+    ],
+)
+def test_write_graph_is_lexicographic(tmp_path, g, text):
+    path = tmp_path / "g.txt"
+    write_graph(g, str(path))
+    assert path.read_bytes() == text.encode()
+    assert read_graph(str(path)) == g
+
+
+def test_graph_equality():
+    assert Graph(3, [(1, 2)]) == Graph(3, [(2, 1)])
+    assert Graph(3, [(1, 2)]) != Graph(3, [(2, 3)])
+    assert Graph(3, [(1, 2)]) != Graph(4, [(1, 2)])
+    assert Digraph(3, [(1, 2)]) != Digraph(3, [(2, 1)])
+    # a Graph never equals a Digraph, even on the same pairs
+    assert Graph(2, [(1, 2)]) != Digraph(2, [(1, 2)])
+    assert Digraph(2, [(1, 2), (2, 1)]) != Graph(2, [(1, 2)])
+
+
 def test_read_graph_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# comment\n\ng 3 2\n1 2\n\n# mid\n2 3\n")
@@ -160,6 +187,8 @@ def test_read_graph_skips_comments_and_blanks(tmp_path):
         ("g 3 2\n1 4\n2 3\n", 2),
         ("g 3 3\n1 2\n2 3\n", 1),
         ("", 1),
+        ("g 3 2\n1 2\n2 1\n", 3),
+        ("d 3 2\n1 2\n1 2\n", 3),
     ],
 )
 def test_read_graph_errors_carry_line_numbers(tmp_path, text, badline):
@@ -185,6 +214,11 @@ def test_copies_are_independent():
     e = d.copy()
     e.add_arc(2, 3)
     assert d.m == 1 and e.m == 2
+    for seed in range(1, 4):
+        g, _ = gen_boll_graph(60, seed)
+        d = gen_in_out(60, 2, 2, seed)
+        assert g.m == len(g.edges) and d.m == len(d.arcs)
+        assert g.copy() == g and d.copy() == d
 
 
 def test_random_model_sanity():
