@@ -2,12 +2,15 @@
 
 Subpackages/modules:
     graphs   - graph/digraph types, random models, edge-list I/O
-    contract - degree-2 subpath detection and 2-vertex contraction
+    contract - degree-2 chain reduction, condensed and 2-vertex graphs
     tour     - pseudo-Hamilton circuits, moves, rotations, abbreviations
     solver   - randomized circuit search for graphs and digraphs
-    oracle   - brute force, sigma decomposition, constructive convergence
+    oracle   - brute force, sigma decomposition, constructive convergence,
+               enumerate_all (every circuit by admissible moves) and
+               held_karp (exact small TSP optimum)
     problab  - closed-form probabilities and Monte Carlo estimators
-    tsp      - weighted-tour local search (good rotations / good sets)
+    tsp      - weighted tours: iterated local search (2-opt and Or-opt on
+               nearest-neighbour lists, double-bridge kicks)
     cli      - command-line interface
 """
 

@@ -6,8 +6,11 @@ such vertices are forced onto every circuit.  contract() finds those chains
 to a fixed point (forcing two edges at a vertex deletes its remaining
 edges, which can force more) and deletes edges/arcs that join a chain's two
 endpoints directly (they would skip the chain interior and can lie on no
-circuit).  This is the package's only reduction pass; its ContractedGraph
-holds two views of the result:
+circuit).  This is the package's only reduction pass.  It reads the host
+in place and never mutates it: the working adjacency starts as the host's
+own sets, and a vertex's set is copied only before the first deletion
+there (copy-on-write), so a reduction that deletes little copies little.
+Its ContractedGraph holds two views of the result:
 
     * the side-faithful condensed graph the solver searches: every chain
       keeps its endpoint vertices and its interior becomes one dummy vertex
@@ -153,90 +156,77 @@ class ContractedGraph:
 
 
 def _reduce_graph(g: Graph):
-    adj = {v: set(g.adj[v]) for v in g.adj}
+    adj = dict(g.adj)  # the host's sets, copied on write by delete
     deleted: set[tuple[int, int]] = set()
     n = g.n
 
     def delete(u, v):
-        adj[u].discard(v)
-        adj[v].discard(u)
+        for a, b in ((u, v), (v, u)):
+            if adj[a] is g.adj[a]:
+                adj[a] = set(adj[a])
+            adj[a].discard(b)
         deleted.add((u, v) if u < v else (v, u))
+
+    def walk(s, cur):
+        """The vertices from cur on, leaving s, up to the first one of
+        degree != 2, or up to s when they close a cycle through it."""
+        path, prev = [cur], s
+        while len(adj[cur]) == 2 and cur != s:
+            a, b = adj[cur]
+            prev, cur = cur, b if a == prev else a
+            path.append(cur)
+        return path
 
     while True:
         changed = False
-        for v in adj:
-            if len(adj[v]) < 2:
-                raise ContractError(f"vertex {v} has fewer than 2 usable edges")
-        # edges incident to a degree-2 vertex are forced
-        forced: dict[int, set[int]] = {v: set() for v in adj}
-        for v in adj:
-            if len(adj[v]) == 2:
-                for w in adj[v]:
-                    forced[v].add(w)
-                    forced[w].add(v)
-        for v in adj:
+        two: list[int] = []  # degree-2 vertices, ascending
+        for v, ws in adj.items():
+            if len(ws) < 3:
+                if len(ws) < 2:
+                    raise ContractError(f"vertex {v} has fewer than 2 usable edges")
+                two.append(v)
+        # edges incident to a degree-2 vertex are forced; only degree-2
+        # vertices and their neighbours have forced edges
+        forced: dict[int, set[int]] = {}
+        for v in two:
+            for w in adj[v]:
+                forced.setdefault(v, set()).add(w)
+                forced.setdefault(w, set()).add(v)
+        for v in sorted(forced):
             if len(forced[v]) > 2:
                 raise ContractError(f"vertex {v} has {len(forced[v])} forced edges")
-        for v in list(adj):
-            if len(forced[v]) == 2 and len(adj[v]) > 2:
+        for v, fs in forced.items():
+            if len(fs) == 2 and len(adj[v]) > 2:
                 for w in list(adj[v]):
-                    if w not in forced[v]:
+                    if w not in fs:
                         delete(v, w)
                         changed = True
         if changed:
             continue
-        # stable: walk chains of degree-2 vertices
+        # stable, so a vertex of degree > 2 has at most one degree-2
+        # neighbour (two would force both its edges and cut the rest): the
+        # walks from a degree-2 vertex s both end at s (a forced cycle) or
+        # at two distinct endpoints
         chains: list[list[int]] = []
-        forced_cycle: Optional[list[int]] = None
         seen: set[int] = set()
-        for s in adj:
-            if len(adj[s]) != 2 or s in seen:
+        for s in two:
+            if s in seen:
                 continue
-            # walk in one direction to an endpoint or back to s
-            path = [s]
-            seen.add(s)
-            prev, cur = s, next(iter(adj[s]))
-            while len(adj[cur]) == 2 and cur != s:
-                path.append(cur)
-                seen.add(cur)
-                nxts = [w for w in adj[cur] if w != prev]
-                prev, cur = cur, nxts[0]
-            if cur == s:  # closed cycle of degree-2 vertices
-                if len(path) == n:
-                    forced_cycle = path
-                    chains = []
-                    break
+            a, b = adj[s]
+            ahead = walk(s, a)
+            if ahead[-1] == s:
+                if len(ahead) == n:
+                    return adj, deleted, [], [s] + ahead[:-1]
                 raise IsolatedCycleError(
-                    f"forced cycle on {len(path)} of {n} vertices"
+                    f"forced cycle on {len(ahead)} of {n} vertices"
                 )
-            path.append(cur)  # first endpoint
-            # walk the other direction from s
-            prev, cur = s, [w for w in adj[s] if w != path[1]][0]
-            head = []
-            while len(adj[cur]) == 2:
-                head.append(cur)
-                seen.add(cur)
-                nxts = [w for w in adj[cur] if w != prev]
-                prev, cur = cur, nxts[0]
-            head.append(cur)
-            chain = list(reversed(head)) + path
-            if chain[0] == chain[-1]:
-                # both walks reached the same endpoint: forced cycle through
-                # one junction vertex; spanning iff it covers everything
-                if len(chain) - 1 == n:
-                    forced_cycle = chain[:-1]
-                    chains = []
-                    break
-                raise IsolatedCycleError(
-                    f"forced cycle on {len(chain) - 1} of {n} vertices"
-                )
+            chain = walk(s, b)[::-1] + [s] + ahead
+            seen.update(chain)
             chains.append(chain)
-        if forced_cycle is not None:
-            return adj, deleted, [], forced_cycle
         # delete direct endpoint-to-endpoint edges (they skip the interior)
         for chain in chains:
             p, q = chain[0], chain[-1]
-            if len(chain) >= 3 and q in adj[p]:
+            if q in adj[p]:
                 delete(p, q)
                 changed = True
         if not changed:
@@ -244,13 +234,16 @@ def _reduce_graph(g: Graph):
 
 
 def _reduce_digraph(d: Digraph):
-    out = {v: set(d.out_adj[v]) for v in d.out_adj}
-    inn = {v: set(d.in_adj[v]) for v in d.in_adj}
+    out, inn = dict(d.out_adj), dict(d.in_adj)  # copied on write by delete
     deleted: set[tuple[int, int]] = set()
     n = d.n
 
     def delete(u, v):
+        if out[u] is d.out_adj[u]:
+            out[u] = set(out[u])
         out[u].discard(v)
+        if inn[v] is d.in_adj[v]:
+            inn[v] = set(inn[v])
         inn[v].discard(u)
         deleted.add((u, v))
 
@@ -259,7 +252,7 @@ def _reduce_digraph(d: Digraph):
         for v in out:
             if not out[v] or not inn[v]:
                 raise ContractError(f"vertex {v} has no usable in- or out-arc")
-        for w in list(inn):
+        for w in inn:
             if len(inn[w]) == 1:
                 (u,) = inn[w]
                 if len(out[u]) > 1:
@@ -267,7 +260,7 @@ def _reduce_digraph(d: Digraph):
                         if z != w:
                             delete(u, z)
                     changed = True
-        for u in list(out):
+        for u in out:
             if len(out[u]) == 1:
                 (w,) = out[u]
                 if len(inn[w]) > 1:
@@ -277,52 +270,30 @@ def _reduce_digraph(d: Digraph):
                     changed = True
         if changed:
             continue
-        # forced arcs now have unique out at the tail and unique in at the head
-        forced_out = {u: next(iter(out[u])) for u in out if len(out[u]) == 1}
-        forced_in = {w for w in inn if len(inn[w]) == 1}
+        # stable: out[u] == {w} exactly when inn[w] == {u}, so the forced
+        # arcs form disjoint paths, each starting at a forced tail whose
+        # in-degree is not 1, and cycles
+        succ = {u: next(iter(ws)) for u, ws in out.items() if len(ws) == 1}
         chains: list[list[int]] = []
-        forced_cycle: Optional[list[int]] = None
-        seen: set[int] = set()
-        for s in forced_out:
-            if s in seen:
-                continue
-            # rewind to the start of this forced path (or detect a cycle)
-            start = s
-            while start in forced_in:
-                (u,) = inn[start]
-                if u in forced_out and forced_out[u] == start:
-                    if u == s:
-                        break  # closed forced cycle
-                    start = u
-                else:
-                    break
-            # walk forward
-            path = [start]
-            seen.add(start)
-            cur = start
-            closed = False
-            while cur in forced_out:
-                nxt = forced_out[cur]
-                if nxt == start:
-                    closed = True
-                    break
-                if nxt in seen:
-                    break
-                path.append(nxt)
-                seen.add(nxt)
-                cur = nxt
-            if closed:
-                if len(path) == n:
-                    forced_cycle = path
-                    chains = []
-                    break
+        for u in succ:
+            if len(inn[u]) != 1:
+                chain = [u]
+                while chain[-1] in succ:
+                    chain.append(succ[chain[-1]])
+                chains.append(chain)
+        chains.sort(key=lambda c: min(c[:-1]))
+        on_chain = {v for c in chains for v in c}
+        for s in succ:
+            if s not in on_chain:
+                # s is the least vertex of a forced cycle; read it from succ(s)
+                cycle = [succ[s]]
+                while cycle[-1] != s:
+                    cycle.append(succ[cycle[-1]])
+                if len(cycle) == n:
+                    return (out, inn), deleted, [], cycle
                 raise IsolatedCycleError(
-                    f"forced cycle on {len(path)} of {n} vertices"
+                    f"forced cycle on {len(cycle)} of {n} vertices"
                 )
-            if len(path) >= 2:
-                chains.append(path)
-        if forced_cycle is not None:
-            return (out, inn), deleted, [], forced_cycle
         for chain in chains:
             p, q = chain[0], chain[-1]
             if p in out[q]:
@@ -357,9 +328,10 @@ def find_two_paths(g: AnyGraph) -> list[TwoPath]:
 def contract(g: AnyGraph) -> ContractedGraph:
     """Reduce g's forced chains; see ContractedGraph for the result."""
     if g.directed:
-        (adj, _inn), deleted, chains, cyc = _reduce_digraph(g)
+        reduced, deleted, chains, cyc = _reduce_digraph(g)  # (out, inn)
     else:
         adj, deleted, chains, cyc = _reduce_graph(g)
+        reduced = (adj,)
     if cyc is not None:
         # whole host collapses to one forced circuit
         one = Digraph(1) if g.directed else Graph(1)
@@ -378,13 +350,14 @@ def contract(g: AnyGraph) -> ContractedGraph:
     for tp in dummies:
         elements[len(elements) + 1] = tp
     cond: AnyGraph = (Digraph if g.directed else Graph)(len(elements))
+    # the reduced sets come from a valid host, so they are relabelled
+    # without add_edge's checks; an edge to a chain interior is dropped
+    stores = (cond.out_adj, cond.in_adj) if g.directed else (cond.adj,)
+    for store, sets in zip(stores, reduced):
+        for u in keep:
+            store[to_new[u]] = {to_new[v] for v in sets[u] if v in to_new}
+    cond.m = sum(map(len, stores[0].values())) // (1 if g.directed else 2)
     add = cond.add_arc if g.directed else cond.add_edge
-    # each reduced neighbour set is dropped once read, so the reduction's
-    # working copy shrinks as cond grows and the two do not peak together
-    for u in range(1, g.n + 1):
-        for v in adj.pop(u):
-            if (g.directed or u < v) and u not in interior and v not in interior:
-                add(to_new[u], to_new[v])
     for dummy, tp in enumerate(dummies, len(keep) + 1):
         add(to_new[tp.start], dummy)
         add(dummy, to_new[tp.end])

@@ -257,14 +257,18 @@ def gen_in_out(n: int, i: int, o: int, seed: int) -> Digraph:
     if not (1 <= i <= n - 1 and 1 <= o <= n - 1):
         raise ValueError("gen_in_out requires 1 <= i,o <= n-1")
     rng = random.Random(seed)
-    arcs: set[tuple[int, int]] = set()
+    d = Digraph(n)
     others = range(n - 1)
     for v in range(1, n + 1):
         for j in rng.sample(others, i):
-            arcs.add((v, _other(v, j)))
+            w = _other(v, j)
+            if not d.has_arc(v, w):
+                d.add_arc(v, w)
         for j in rng.sample(others, o):
-            arcs.add((_other(v, j), v))
-    return Digraph(n, arcs)
+            u = _other(v, j)
+            if not d.has_arc(u, v):
+                d.add_arc(u, v)
+    return d
 
 
 def to_undirected(d: Digraph) -> Graph:

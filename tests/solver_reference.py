@@ -4,10 +4,10 @@ Copied verbatim from the earlier implementation: the Tour that walked all n
 successors in apply and re-tested the whole reversed segment in rotate, the
 per-call sorted neighbour lists, the O(k^2) containment counts, the
 Abbreviation mirror and the solver's own side-faithful condensation
-(_condense/_lift; only the chain reduction _reduce_graph/_reduce_digraph
-is shared with hamperm.contract).  tests/test_solver_reference.py checks the current
-Tour and solver against these on seeded inputs; nothing in src/ imports
-this module.
+(_condense/_lift, over the earlier chain reduction of
+tests/contract_reference.py).  tests/test_solver_reference.py checks the
+current Tour and solver against these on seeded inputs; nothing in src/
+imports this module.
 
 The departures from the earlier code are in how it draws, so the
 reference follows the solver's draw order:
@@ -37,7 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from hamperm.contract import ContractError, _reduce_digraph, _reduce_graph
+from contract_reference import _reduce_digraph, _reduce_graph
+from hamperm.contract import ContractError
 from hamperm.graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
 from hamperm.oracle import verify_circuit
 from hamperm.solver import SolveReport

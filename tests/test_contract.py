@@ -20,6 +20,7 @@ from hamperm.graphs import (
 )
 from hamperm.oracle import brute_force_circuits, canonical_circuit, verify_circuit
 from test_acceptance import _chain_host
+from test_contract_reference import random_host
 
 
 def k4_with_pendant_path():
@@ -255,3 +256,38 @@ def test_chainless_host_is_its_own_condensation(g):
     assert cg.condensed is g and not cg.two_paths and not cg.deleted
     for c in brute_force_circuits(g):
         assert cg.lift(list(c)) == list(c)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_contract_leaves_the_host_untouched(directed):
+    # the reduction reads the host's own adjacency sets and copies one only
+    # to delete from it; the condensed graph owns all of its sets
+    rng = random.Random(5 + directed)
+    deleting = 0
+    for _ in range(600):
+        g = random_host(rng, directed)
+        before = g.copy()
+        try:
+            cg = contract(g)
+        except ContractError:
+            assert g == before
+            continue
+        assert g == before and g.m == before.m
+        if not cg.deleted:
+            continue
+        deleting += 1
+        h = cg.condensed
+        if directed:
+            assert h.m == len(h.arcs)
+            assert h.in_adj == {
+                v: {u for u in h.out_adj if v in h.out_adj[u]} for v in h.in_adj
+            }
+            stores = (h.out_adj, h.in_adj)
+            host_sets = {id(s) for a in (g.out_adj, g.in_adj) for s in a.values()}
+        else:
+            assert h.m == len(h.edges)
+            assert all(u in h.adj[v] for u in h.adj for v in h.adj[u])
+            stores = (h.adj,)
+            host_sets = {id(s) for s in g.adj.values()}
+        assert not host_sets & {id(s) for a in stores for s in a.values()}
+    assert deleting >= 50
