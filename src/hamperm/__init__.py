@@ -2,7 +2,8 @@
 
 Subpackages/modules:
     graphs   - graph/digraph types, random models, edge-list I/O
-    contract - degree-2 chain reduction, condensed and 2-vertex graphs
+    contract - degree-2 chain reduction, the reduced host and the
+               2-vertex graph
     tour     - pseudo-Hamilton circuits, moves, rotations, abbreviations
     solver   - randomized circuit search for graphs and digraphs
     oracle   - brute force, sigma decomposition, constructive convergence,

@@ -12,10 +12,10 @@ own sets, and a vertex's set is copied only before the first deletion
 there (copy-on-write), so a reduction that deletes little copies little.
 Its ContractedGraph holds two views of the result:
 
-    * the side-faithful condensed graph the solver searches: every chain
-      keeps its endpoint vertices and its interior becomes one dummy vertex
-      between them, so each remaining edge keeps the endpoint it attaches
-      to; ContractedGraph.lift maps any circuit of it back to the host,
+    * the reduced host the solver searches: the host minus the deleted
+      edges, under the host's own labels, sharing every set the reduction
+      did not touch (the host itself when nothing was deleted); no circuit
+      uses a deleted edge, so its Hamilton circuits are exactly the host's,
     * the paper's 2-vertex graph, built on first access: each chain becomes
       a single vertex whose two attachment sides are the chain's endpoints
       (digraphs: fixed initial/terminal sides); expand() maps a circuit of
@@ -28,6 +28,7 @@ the graph) proves the host non-Hamiltonian and raises ContractError.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -71,22 +72,20 @@ class TwoPath:
 class ContractedGraph:
     """The host after contract(), in two views over the same reduction.
 
-    condensed numbers the non-interior host vertices in sorted order, then
-    one dummy per chain with an interior, in chain order;
-    condensed_elements maps each id to its host vertex or, for a dummy, its
-    TwoPath.  With no chains it is the host itself.  lift() maps a Hamilton
-    circuit of condensed to one of the host.
+    reduced is the host minus deleted, on the host's vertices 1..n: its
+    adjacency sets are the reduction's copy-on-write working sets, so the
+    set at v is the host's own object exactly when nothing was deleted at
+    v, and reduced is the host itself when nothing was deleted at all.
 
-    graph and elements, the 2-vertex view, are built from condensed on
-    first access, so a solve never pays for them: ordinary vertices in
-    sorted order, then one vertex per chain by least chain vertex, with a
-    chain's endpoints and dummy merged into it (loops and repeated edges
-    dropped).
+    graph and elements, the 2-vertex view, are built from reduced on first
+    access, so a solve never pays for them: vertices on no chain in sorted
+    order, then one vertex per chain by least chain vertex, every vertex of
+    a chain merged into it (loops and repeated edges dropped).  A forced
+    circuit gives the 1-vertex view of its first vertex.
     """
 
     host: AnyGraph
-    condensed: AnyGraph
-    condensed_elements: dict[int, Union[int, TwoPath]]
+    reduced: AnyGraph
     two_paths: list[TwoPath]
     deleted: set[tuple]  # host edges/arcs removed by the reduction
     forced_circuit: Optional[list[int]] = None  # set when the host is one
@@ -99,29 +98,27 @@ class ContractedGraph:
     @cached_property
     def elements(self) -> dict[int, Union[int, TwoPath]]:
         """2-vertex id -> host vertex | chain."""
-        ends = {v for tp in self.two_paths for v in (tp.start, tp.end)}
-        ordinary = [
-            el
-            for el in self.condensed_elements.values()
-            if not isinstance(el, TwoPath) and el not in ends
-        ]
+        if self.forced_circuit is not None:
+            return {1: self.forced_circuit[0]}
+        on_chain = {v for tp in self.two_paths for v in tp.vertices}
+        ordinary = [v for v in range(1, self.host.n + 1) if v not in on_chain]
         chains = sorted(self.two_paths, key=lambda tp: min(tp.vertices))
         return dict(enumerate(ordinary + chains, 1))
 
     @cached_property
     def graph(self) -> AnyGraph:
         """The contracted graph over 2-vertex ids 1..n'."""
-        new_id: dict = {}  # host vertex | chain -> 2-vertex id
-        for nid, el in self.elements.items():
-            new_id[el] = nid
-            if isinstance(el, TwoPath):
-                new_id[el.start] = new_id[el.end] = nid
-        to_new = {cid: new_id[el] for cid, el in self.condensed_elements.items()}
-        h = self.condensed
+        h = self.reduced
         g: AnyGraph = (Digraph if h.directed else Graph)(len(self.elements))
+        if self.forced_circuit is not None:
+            return g
+        new_id: dict[int, int] = {}  # host vertex -> 2-vertex id
+        for nid, el in self.elements.items():
+            for v in el.vertices if isinstance(el, TwoPath) else (el,):
+                new_id[v] = nid
         add = g.add_arc if h.directed else g.add_edge
         for u, v in h.arcs if h.directed else h.edges:
-            nu, nv = to_new[u], to_new[v]
+            nu, nv = new_id[u], new_id[v]
             if nu != nv and not g.has_arc(nu, nv):
                 add(nu, nv)
         return g
@@ -132,22 +129,6 @@ class ContractedGraph:
         if isinstance(el, TwoPath):
             return el.start, el.end
         raise ValueError(f"{new_id} is not a 2-vertex")
-
-    def lift(self, circuit: list[int]) -> list[int]:
-        """Map a Hamilton circuit of condensed to the host: a dummy expands
-        to its chain's interior, oriented by the element before it."""
-        if self.forced_circuit is not None:
-            return list(self.forced_circuit)
-        els = self.condensed_elements
-        out: list[int] = []
-        for i, x in enumerate(circuit):
-            el = els[x]
-            if isinstance(el, TwoPath):
-                inner = el.interior
-                out.extend(inner if els[circuit[i - 1]] == el.start else inner[::-1])
-            else:
-                out.append(el)
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -327,41 +308,18 @@ def find_two_paths(g: AnyGraph) -> list[TwoPath]:
 
 def contract(g: AnyGraph) -> ContractedGraph:
     """Reduce g's forced chains; see ContractedGraph for the result."""
-    if g.directed:
-        reduced, deleted, chains, cyc = _reduce_digraph(g)  # (out, inn)
-    else:
-        adj, deleted, chains, cyc = _reduce_graph(g)
-        reduced = (adj,)
-    if cyc is not None:
-        # whole host collapses to one forced circuit
-        one = Digraph(1) if g.directed else Graph(1)
-        return ContractedGraph(g, one, {1: cyc[0]}, [], deleted, list(cyc))
+    reduce = _reduce_digraph if g.directed else _reduce_graph
+    sets, deleted, chains, cyc = reduce(g)  # adj, or (out_adj, in_adj)
+    reduced = g
+    if deleted:
+        reduced = copy.copy(g)
+        if g.directed:
+            reduced.out_adj, reduced.in_adj = sets
+        else:
+            reduced.adj = sets
+        reduced.m = g.m - len(deleted)
     two_paths = [TwoPath(tuple(c), g.directed) for c in chains]
-    if not chains:
-        # every deletion leaves a chain, so nothing was deleted either
-        return ContractedGraph(g, g, {v: v for v in range(1, g.n + 1)}, [], deleted)
-    interior: set[int] = set()
-    for tp in two_paths:
-        interior.update(tp.interior)
-    keep = [v for v in range(1, g.n + 1) if v not in interior]
-    to_new = {v: i for i, v in enumerate(keep, 1)}
-    elements: dict[int, Union[int, TwoPath]] = dict(enumerate(keep, 1))
-    dummies = [tp for tp in two_paths if tp.interior]
-    for tp in dummies:
-        elements[len(elements) + 1] = tp
-    cond: AnyGraph = (Digraph if g.directed else Graph)(len(elements))
-    # the reduced sets come from a valid host, so they are relabelled
-    # without add_edge's checks; an edge to a chain interior is dropped
-    stores = (cond.out_adj, cond.in_adj) if g.directed else (cond.adj,)
-    for store, sets in zip(stores, reduced):
-        for u in keep:
-            store[to_new[u]] = {to_new[v] for v in sets[u] if v in to_new}
-    cond.m = sum(map(len, stores[0].values())) // (1 if g.directed else 2)
-    add = cond.add_arc if g.directed else cond.add_edge
-    for dummy, tp in enumerate(dummies, len(keep) + 1):
-        add(to_new[tp.start], dummy)
-        add(dummy, to_new[tp.end])
-    return ContractedGraph(g, cond, elements, two_paths, deleted)
+    return ContractedGraph(g, reduced, two_paths, deleted, cyc)
 
 
 def _entry_exit_states(el: Union[int, TwoPath], directed: bool):

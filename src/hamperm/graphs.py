@@ -20,7 +20,9 @@ shuffled-prefix distribution, drawn with fewer random numbers (O(m) while
 the stopped prefix is a small fraction of all pairs, as it is at the
 default thresholds).  gen_m_out and gen_in_out sample target indices
 instead of building a candidate list per vertex; their output is the same
-as that of the list-based draws.
+as that of the list-based draws.  The generators and read_graph name each
+vertex by one shared int object, so the adjacency sets hold n label ints
+rather than one int per edge end.
 
 File format (see read_graph/write_graph):
     line 1: "g n m" (undirected) or "d n m" (directed)
@@ -180,16 +182,18 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
 
 
-def _random_pair(rng: random.Random, n: int) -> tuple[int, int]:
-    """A uniform ordered pair (u, v) of distinct vertices of 1..n."""
+def _random_pair(rng: random.Random, labels: list[int]) -> tuple[int, int]:
+    """A uniform ordered pair (u, v) of distinct vertices of 1..n, as the
+    label ints of labels = list(range(n + 1))."""
+    n = len(labels) - 1
     u = rng.randrange(1, n + 1)
     v = rng.randrange(1, n)
-    return u, v if v < u else v + 1
+    return labels[u], labels[v if v < u else v + 1]
 
 
-def _other(v: int, j: int) -> int:
-    """The j-th (0-based) vertex of 1..n other than v."""
-    return j + 1 if j + 1 < v else j + 2
+def _other(labels: list[int], v: int, j: int) -> int:
+    """The j-th (0-based) vertex of 1..n other than v, as its label int."""
+    return labels[j + 1 if j + 1 < v else j + 2]
 
 
 def gen_boll_graph(n: int, seed: int) -> tuple[Graph, int]:
@@ -203,9 +207,10 @@ def gen_boll_graph(n: int, seed: int) -> tuple[Graph, int]:
     rng = random.Random(seed)
     g = Graph(n)
     adj = g.adj
+    labels = list(range(n + 1))
     deficient = n  # vertices with degree < 2
     while deficient:
-        u, v = _random_pair(rng, n)
+        u, v = _random_pair(rng, labels)
         if v in adj[u]:
             continue
         deficient -= (len(adj[u]) == 1) + (len(adj[v]) == 1)
@@ -228,10 +233,11 @@ def gen_boll_digraph(
     rng = random.Random(seed)
     d = Digraph(n)
     out_adj, in_adj = d.out_adj, d.in_adj
+    labels = list(range(n + 1))
     below = threshold - 1
     deficient = 2 * n  # (vertex, side) pairs below threshold
     while deficient:
-        u, v = _random_pair(rng, n)
+        u, v = _random_pair(rng, labels)
         if v in out_adj[u]:
             continue
         deficient -= (len(out_adj[u]) == below) + (len(in_adj[v]) == below)
@@ -245,10 +251,11 @@ def gen_m_out(n: int, m: int, seed: int) -> Digraph:
         raise ValueError("gen_m_out requires 1 <= m <= n-1")
     rng = random.Random(seed)
     d = Digraph(n)
+    labels = list(range(n + 1))
     others = range(n - 1)
-    for v in range(1, n + 1):
+    for v in labels[1:]:
         for j in rng.sample(others, m):
-            d.add_arc(v, _other(v, j))
+            d.add_arc(v, _other(labels, v, j))
     return d
 
 
@@ -258,14 +265,15 @@ def gen_in_out(n: int, i: int, o: int, seed: int) -> Digraph:
         raise ValueError("gen_in_out requires 1 <= i,o <= n-1")
     rng = random.Random(seed)
     d = Digraph(n)
+    labels = list(range(n + 1))
     others = range(n - 1)
-    for v in range(1, n + 1):
+    for v in labels[1:]:
         for j in rng.sample(others, i):
-            w = _other(v, j)
+            w = _other(labels, v, j)
             if not d.has_arc(v, w):
                 d.add_arc(v, w)
         for j in rng.sample(others, o):
-            u = _other(v, j)
+            u = _other(labels, v, j)
             if not d.has_arc(u, v):
                 d.add_arc(u, v)
     return d

@@ -37,11 +37,11 @@ A move costs a few C-level list slices on the array Tour, a rotation the
 reversal of its segment in place, each plus O(1) host lookups and O(log
 |PSEUDO|) registry updates.
 
-Degree-2 chains are contracted away first: the search runs on
-contract(g).condensed, where each chain keeps its endpoints and its
-interior becomes one dummy vertex, and a circuit found there is mapped back
-by ContractedGraph.lift and re-verified on the original host.  Everything
-is deterministic per (input, params, seed).
+Degree-2 chains are reduced first: the search runs on contract(g).reduced,
+the host minus the edges no circuit can use, under the host's own labels,
+so a circuit found there is a host circuit as it stands; it is still
+re-verified on the original host.  Everything is deterministic per
+(input, params, seed).
 """
 
 from __future__ import annotations
@@ -470,18 +470,13 @@ def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
         return SolveReport(
             "infeasible-precondition", detail="forced cycle fails verification"
         )
-    rp = p.resolve(cg.condensed.n)
-    rep = _solve_core(cg.condensed, rp)
-    if rep.outcome != "circuit":
-        return rep
-    host_circuit = cg.lift(rep.circuit)
-    if not verify_circuit(g, host_circuit):
+    rep = _solve_core(cg.reduced, p.resolve(g.n))
+    if rep.outcome == "circuit" and not verify_circuit(g, rep.circuit):
         return SolveReport(
             "timeout",
             iterations=rep.iterations,
-            detail="condensed circuit failed host verification",
+            detail="circuit failed host verification",
         )
-    rep.circuit = host_circuit
     return rep
 
 

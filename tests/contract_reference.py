@@ -1,24 +1,108 @@
 """The degree-2 reduction and condensed build as they were before the
-reduction read the host in place, kept verbatim as the reference for
+reduction read the host in place and before the solver searched the
+reduced host under its own labels, kept verbatim as the reference for
 tests/test_contract_reference.py: _reduce_graph and _reduce_digraph worked
 on a full copy of the host's adjacency sets with a forced set per vertex,
-and contract() built the condensed graph edge by edge through add_edge.
-hamperm.contract must give the same ContractedGraph fields and the same
-ContractError type and message on every input.  Nothing in src/ imports
-this module.
+and contract() built a relabelled condensed graph edge by edge through
+add_edge, with one dummy vertex per chain interior, into the
+ContractedGraph class of that time, whose 2-vertex view was built from
+the condensed graph.  hamperm.contract must give the same reduction
+(deleted edges, chains, forced circuit), the same 2-vertex view and the
+same ContractError type and message on every input.  Nothing in src/
+imports this module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
-from hamperm.contract import (
-    ContractedGraph,
-    ContractError,
-    IsolatedCycleError,
-    TwoPath,
-)
+from hamperm.contract import ContractError, IsolatedCycleError, TwoPath
 from hamperm.graphs import AnyGraph, Digraph, Graph
+
+
+@dataclass
+class ContractedGraph:
+    """The host after contract(), in two views over the same reduction.
+
+    condensed numbers the non-interior host vertices in sorted order, then
+    one dummy per chain with an interior, in chain order;
+    condensed_elements maps each id to its host vertex or, for a dummy, its
+    TwoPath.  With no chains it is the host itself.  lift() maps a Hamilton
+    circuit of condensed to one of the host.
+
+    graph and elements, the 2-vertex view, are built from condensed on
+    first access, so a solve never pays for them: ordinary vertices in
+    sorted order, then one vertex per chain by least chain vertex, with a
+    chain's endpoints and dummy merged into it (loops and repeated edges
+    dropped).
+    """
+
+    host: AnyGraph
+    condensed: AnyGraph
+    condensed_elements: dict[int, Union[int, TwoPath]]
+    two_paths: list[TwoPath]
+    deleted: set[tuple]  # host edges/arcs removed by the reduction
+    forced_circuit: Optional[list[int]] = None  # set when the host is one
+    # forced cycle (the degenerate "whole graph is a chain" case)
+
+    @property
+    def is_identity(self) -> bool:
+        return not self.two_paths and self.forced_circuit is None
+
+    @cached_property
+    def elements(self) -> dict[int, Union[int, TwoPath]]:
+        """2-vertex id -> host vertex | chain."""
+        ends = {v for tp in self.two_paths for v in (tp.start, tp.end)}
+        ordinary = [
+            el
+            for el in self.condensed_elements.values()
+            if not isinstance(el, TwoPath) and el not in ends
+        ]
+        chains = sorted(self.two_paths, key=lambda tp: min(tp.vertices))
+        return dict(enumerate(ordinary + chains, 1))
+
+    @cached_property
+    def graph(self) -> AnyGraph:
+        """The contracted graph over 2-vertex ids 1..n'."""
+        new_id: dict = {}  # host vertex | chain -> 2-vertex id
+        for nid, el in self.elements.items():
+            new_id[el] = nid
+            if isinstance(el, TwoPath):
+                new_id[el.start] = new_id[el.end] = nid
+        to_new = {cid: new_id[el] for cid, el in self.condensed_elements.items()}
+        h = self.condensed
+        g: AnyGraph = (Digraph if h.directed else Graph)(len(self.elements))
+        add = g.add_arc if h.directed else g.add_edge
+        for u, v in h.arcs if h.directed else h.edges:
+            nu, nv = to_new[u], to_new[v]
+            if nu != nv and not g.has_arc(nu, nv):
+                add(nu, nv)
+        return g
+
+    def sides(self, new_id: int) -> tuple[int, int]:
+        """The two attachment sides (endpoint host vertices) of a 2-vertex."""
+        el = self.elements[new_id]
+        if isinstance(el, TwoPath):
+            return el.start, el.end
+        raise ValueError(f"{new_id} is not a 2-vertex")
+
+    def lift(self, circuit: list[int]) -> list[int]:
+        """Map a Hamilton circuit of condensed to the host: a dummy expands
+        to its chain's interior, oriented by the element before it."""
+        if self.forced_circuit is not None:
+            return list(self.forced_circuit)
+        els = self.condensed_elements
+        out: list[int] = []
+        for i, x in enumerate(circuit):
+            el = els[x]
+            if isinstance(el, TwoPath):
+                inner = el.interior
+                out.extend(inner if els[circuit[i - 1]] == el.start else inner[::-1])
+            else:
+                out.append(el)
+        return out
 
 
 def _reduce_graph(g: Graph):

@@ -2,12 +2,13 @@
 
 Copied verbatim from the earlier implementation: the Tour that walked all n
 successors in apply and re-tested the whole reversed segment in rotate, the
-per-call sorted neighbour lists, the O(k^2) containment counts, the
-Abbreviation mirror and the solver's own side-faithful condensation
-(_condense/_lift, over the earlier chain reduction of
-tests/contract_reference.py).  tests/test_solver_reference.py checks the
-current Tour and solver against these on seeded inputs; nothing in src/
-imports this module.
+per-call sorted neighbour lists, the O(k^2) containment counts and the
+Abbreviation mirror.  The search runs on the reduced host: the host minus
+the edges the earlier chain reduction of tests/contract_reference.py
+deletes, built through add_edge/add_arc (_reduced_host), under the host's
+own labels.  tests/test_solver_reference.py checks the current Tour and
+solver against these on seeded inputs; nothing in src/ imports this
+module.
 
 The departures from the earlier code are in how it draws, so the
 reference follows the solver's draw order:
@@ -597,78 +598,32 @@ def _start_order(
     return order
 
 
-def _condense(g: AnyGraph):
-    """Contract forced chains side-faithfully: a chain [p, ..., q] with
-    interior becomes p - dummy - q (directed: p -> dummy -> q), so every
-    remaining edge keeps the exact endpoint it attaches to and mapping a
-    circuit back to the host can never fail.
+def _reduced_host(g: AnyGraph):
+    """The host minus the edges the reduction deletes, on the host's
+    vertices, built edge by edge in sorted order; or a forced circuit.
 
-    Returns (condensed graph, new->host element map) or a forced circuit.
-    Raises ContractError when the reduction proves non-Hamiltonicity.
+    Returns (reduced host, None) or (None, forced circuit).  Raises
+    ContractError when the reduction proves non-Hamiltonicity.
     """
     if g.directed:
-        (out, _inn), _deleted, chains, cyc = _reduce_digraph(g)
-        remaining = [(u, v) for u in out for v in out[u]]
+        (adj, _inn), _deleted, _chains, cyc = _reduce_digraph(g)
     else:
-        adj, _deleted, chains, cyc = _reduce_graph(g)
-        remaining = [(u, v) for u in adj for v in adj[u] if u < v]
+        adj, _deleted, _chains, cyc = _reduce_graph(g)
     if cyc is not None:
-        return None, None, list(cyc)
-    interior: set[int] = set()
-    for chain in chains:
-        interior.update(chain[1:-1])
-    keep = sorted(v for v in range(1, g.n + 1) if v not in interior)
-    to_new = {v: i + 1 for i, v in enumerate(keep)}
-    elements: dict[int, object] = {to_new[v]: v for v in keep}
-    nid = len(keep)
-    cond: AnyGraph = Digraph(1) if g.directed else Graph(1)  # placeholder
-    dummies: list[tuple[int, list[int]]] = []
-    for chain in chains:
-        if len(chain) >= 3:
-            nid += 1
-            dummies.append((nid, chain))
-            elements[nid] = tuple(chain)
-    cond = Digraph(nid) if g.directed else Graph(nid)
-    for u, v in remaining:
-        if u in interior or v in interior:
-            continue
-        if g.directed:
-            cond.add_arc(to_new[u], to_new[v])
-        else:
-            cond.add_edge(to_new[u], to_new[v])
-    for dummy, chain in dummies:
-        p, q = to_new[chain[0]], to_new[chain[-1]]
-        if g.directed:
-            cond.add_arc(p, dummy)
-            cond.add_arc(dummy, q)
-        else:
-            cond.add_edge(p, dummy)
-            cond.add_edge(dummy, q)
-    return cond, elements, None
-
-
-def _lift(circuit: list[int], elements: dict, directed: bool) -> list[int]:
-    """Replace condensed vertices by host vertices; a chain dummy expands to
-    its interior, oriented by the neighboring endpoint elements."""
-    k = len(circuit)
-    out: list[int] = []
-    for i, x in enumerate(circuit):
-        el = elements[x]
-        if isinstance(el, tuple):
-            prev_el = elements[circuit[i - 1]]
-            inner = list(el[1:-1])
-            if prev_el == el[0]:
-                out.extend(inner)
-            else:
-                out.extend(reversed(inner))
-        else:
-            out.append(el)
-    return out
+        return None, list(cyc)
+    h: AnyGraph = Digraph(g.n) if g.directed else Graph(g.n)
+    for u in sorted(adj):
+        for v in sorted(adj[u]):
+            if g.directed:
+                h.add_arc(u, v)
+            elif u < v:
+                h.add_edge(u, v)
+    return h, None
 
 
 def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
     try:
-        cond, elements, forced = _condense(g)
+        h, forced = _reduced_host(g)
     except ContractError as exc:
         return SolveReport(
             "infeasible-precondition", detail=f"contraction: {exc}"
@@ -679,18 +634,16 @@ def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
         return SolveReport(
             "infeasible-precondition", detail="forced cycle fails verification"
         )
-    rp = p.resolve(cond.n)
-    rep = _solve_core(cond, rp)
+    rp = p.resolve(g.n)
+    rep = _solve_core(h, rp)
     if rep.outcome != "circuit":
         return rep
-    host_circuit = _lift(rep.circuit, elements, g.directed)
-    if not verify_circuit(g, host_circuit):
+    if not verify_circuit(g, rep.circuit):
         return SolveReport(
             "timeout",
             iterations=rep.iterations,
-            detail="condensed circuit failed host verification",
+            detail="circuit failed host verification",
         )
-    rep.circuit = host_circuit
     return rep
 
 

@@ -418,8 +418,8 @@ def test_a09_contraction_soundness():
             # with >= 3 contracted vertices a host circuit always induces a
             # circuit of the contracted graph, so expansion is complete; on
             # exactly two 2-vertices the simple contracted graph cannot hold
-            # the two parallel connections and only the solver's side-faithful
-            # condensation (checked below) can witness the circuit
+            # the two parallel connections and only the solver's search of
+            # the reduced host (checked below) can witness the circuit
             assert expanded_any == bool(bf)
         if bf:
             hamiltonian += 1

@@ -18,7 +18,8 @@ from hamperm.graphs import (
     complete_graph,
     cycle_graph,
 )
-from hamperm.oracle import brute_force_circuits, canonical_circuit, verify_circuit
+from hamperm.oracle import brute_force_circuits, verify_circuit
+from hamperm.solver import SolveParams, solve_digraph, solve_graph
 from test_acceptance import _chain_host
 from test_contract_reference import random_host
 
@@ -226,10 +227,10 @@ def test_contracted_circuits_cover_host_circuits():
     assert checked >= 10
 
 
-def test_lift_gives_exactly_the_host_circuits():
-    # a09's chain hosts: lifting every circuit of the side-faithful
-    # condensed graph yields each host circuit, and nothing else (the
-    # 2-vertex graph cannot, see a09's comment on two 2-vertices)
+def test_reduced_host_has_exactly_the_host_circuits():
+    # a09's chain hosts: the reduced host the solver searches has each host
+    # circuit and nothing else (the 2-vertex graph cannot, see a09's
+    # comment on two 2-vertices)
     checked = 0
     for seed in range(1, 700):
         g = _chain_host(seed)
@@ -241,11 +242,7 @@ def test_lift_gives_exactly_the_host_circuits():
             continue
         if cg.forced_circuit is not None:
             continue
-        lifted = {
-            canonical_circuit(cg.lift(list(c)), g.directed)
-            for c in brute_force_circuits(cg.condensed)
-        }
-        assert lifted == set(brute_force_circuits(g)), f"seed {seed}"
+        assert brute_force_circuits(cg.reduced) == brute_force_circuits(g), seed
         checked += 1
     assert checked >= 200
 
@@ -253,16 +250,17 @@ def test_lift_gives_exactly_the_host_circuits():
 @pytest.mark.parametrize("g", [complete_graph(6), complete_digraph(4)])
 def test_chainless_host_is_its_own_condensation(g):
     cg = contract(g)
-    assert cg.condensed is g and not cg.two_paths and not cg.deleted
-    for c in brute_force_circuits(g):
-        assert cg.lift(list(c)) == list(c)
+    assert cg.reduced is g and not cg.two_paths and not cg.deleted
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_contract_leaves_the_host_untouched(directed):
     # the reduction reads the host's own adjacency sets and copies one only
-    # to delete from it; the condensed graph owns all of its sets
+    # to delete from it: the reduced host's set at v is the host's own
+    # object exactly when nothing was deleted at v; neither contract nor a
+    # whole solve changes the host
     rng = random.Random(5 + directed)
+    solve = solve_digraph if directed else solve_graph
     deleting = 0
     for _ in range(600):
         g = random_host(rng, directed)
@@ -273,21 +271,26 @@ def test_contract_leaves_the_host_untouched(directed):
             assert g == before
             continue
         assert g == before and g.m == before.m
-        if not cg.deleted:
-            continue
-        deleting += 1
-        h = cg.condensed
+        h = cg.reduced
+        assert (h is g) == (not cg.deleted)
         if directed:
-            assert h.m == len(h.arcs)
+            assert h.m == len(h.arcs) == g.m - len(cg.deleted)
+            assert h.arcs == g.arcs - cg.deleted
             assert h.in_adj == {
                 v: {u for u in h.out_adj if v in h.out_adj[u]} for v in h.in_adj
             }
-            stores = (h.out_adj, h.in_adj)
-            host_sets = {id(s) for a in (g.out_adj, g.in_adj) for s in a.values()}
+            tails = {u for u, _ in cg.deleted}
+            heads = {v for _, v in cg.deleted}
+            for v in range(1, g.n + 1):
+                assert (h.out_adj[v] is g.out_adj[v]) == (v not in tails)
+                assert (h.in_adj[v] is g.in_adj[v]) == (v not in heads)
         else:
-            assert h.m == len(h.edges)
-            assert all(u in h.adj[v] for u in h.adj for v in h.adj[u])
-            stores = (h.adj,)
-            host_sets = {id(s) for s in g.adj.values()}
-        assert not host_sets & {id(s) for a in stores for s in a.values()}
+            assert h.m == len(h.edges) == g.m - len(cg.deleted)
+            assert h.edges == g.edges - cg.deleted
+            touched = {v for e in cg.deleted for v in e}
+            for v in range(1, g.n + 1):
+                assert (h.adj[v] is g.adj[v]) == (v not in touched)
+        deleting += bool(cg.deleted)
+        solve(g, SolveParams(seed=1))
+        assert g == before and g.m == before.m
     assert deleting >= 50

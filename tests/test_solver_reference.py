@@ -91,12 +91,13 @@ def test_caps_and_budgets_match_reference():
             assert got == want
 
 
-@pytest.mark.parametrize("n,seed", [(12, 42), (16, 8), (16, 49), (20, 11)])
+@pytest.mark.parametrize("n,seed", [(12, 84), (16, 36), (16, 49), (20, 31)])
 def test_digraph_restarts_match_reference(monkeypatch, n, seed):
     # these Boll digraphs stall past the restart limit at least once; for
-    # n=12 and n=20, 42 and 11 are the first seeds of 0, 1, 2, ... whose
+    # n=12 and n=20, 84 and 31 are the first seeds of 0, 1, 2, ... whose
     # solve restarts (solve_digraph(gen_boll_digraph(n, s)[0],
-    # SolveParams(seed=s))); restarts depend on the solver's draws
+    # SolveParams(seed=s))), and for n=16, 36 and 49 are the first two;
+    # restarts depend on the solver's draws
     starts = []
     real = solver._start_order
     monkeypatch.setattr(
