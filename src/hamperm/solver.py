@@ -14,12 +14,14 @@ pseudo-arcs instead of about n.  Each iteration then:
     * build candidate 3-cycle and pair-of-transposition moves from them,
     * keep only admissible candidates that create at most one new pseudo-arc
       (so |PSEUDO| never increases),
+    * drop the candidate that undoes the last applied move,
     * apply the best candidate by DIFF (host arcs created minus pseudo-arc
-      vertices consumed), ties broken by seeded random choice,
+      vertices consumed), ties broken by seeded random choice; with none
+      left, digraph mode (where rotations are unavailable) escapes the dead
+      end by popping the inverse of the last move off its BACKTRACK stack
+      and applying it,
     * graph mode ends every iteration with one pseudo-anchored rotation
-      (also monotone in |PSEUDO|); digraph mode, where rotations are
-      unavailable, escapes dead ends by undoing moves from a double-ended
-      BACKTRACK queue of inverses.
+      (also monotone in |PSEUDO|).
 
 An iteration's Python-level work is bounded by the sampled candidates.
 A vertex v is a pseudo-arc vertex when its tour successor is not in its
@@ -40,15 +42,17 @@ reversal of its segment in place, each plus O(1) host lookups and O(log
 Degree-2 chains are reduced first: the search runs on contract(g).reduced,
 the host minus the edges no circuit can use, under the host's own labels,
 so a circuit found there is a host circuit as it stands; it is still
-re-verified on the original host.  Everything is deterministic per
-(input, params, seed).
+re-verified on the original host.  Degree certificates (a vertex with
+fewer than 2 usable edges, or no usable in- or out-arc) come from that
+reduction; solve_graph and solve_digraph themselves check only n >= 3 and
+(strong) connectivity.  Everything is deterministic per (input, params,
+seed).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -96,6 +100,20 @@ class ResolvedParams:
 
 @dataclass
 class SolveReport:
+    """The result of one solve and the counts of its search.
+
+    iterations: search steps taken (at most the budget; digraph restarts
+    are not steps).  successes: steps that applied a candidate move.
+    failures: steps that applied no candidate, because none was found or
+    each one found undoes the last move; so iterations == successes +
+    failures.
+    backtracks: digraph failures that popped the BACKTRACK stack and
+    applied the inverse of the last move (always 0 on a graph, at most
+    failures on a digraph).  final_pseudo: |PSEUDO| at the end;
+    pseudo_trajectory: |PSEUDO| after each step.  detail: why the solve
+    stopped early or was refused, if it was.
+    """
+
     outcome: str  # "circuit" | "timeout" | "infeasible-precondition"
     circuit: Optional[list[int]] = None
     iterations: int = 0
@@ -329,17 +347,14 @@ def _pick_rotation(
 
 def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     n = h.n
-    if n == 1:
-        return SolveReport("circuit", [1])
-    if n == 2:
-        if h.directed and h.has_arc(1, 2) and h.has_arc(2, 1):
-            return SolveReport("circuit", [1, 2])
-        return SolveReport("timeout", detail="no circuit on 2 vertices")
     rng = random.Random(rp.seed)
     nbrs = _sorted_neighbors(h)
     adj = h.out_adj if h.directed else h.adj
     t = Tour(h, _start_order(h, nbrs, rng))
-    backtrack: deque[Move] = deque()
+    # inverses of the applied moves, the last on top: digraph mode pops them
+    # to backtrack; graph mode keeps only the last, the one candidates are
+    # filtered against
+    undo: list[Move] = []
     rep = SolveReport("timeout")
     # digraph mode has no rotations, so a bad start can oscillate; restart
     # from a new greedy start (the rng has moved on, so its shuffle and tie
@@ -352,7 +367,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             break
         if h.directed and since_improve >= stall_limit:
             t = Tour(h, _start_order(h, nbrs, rng))
-            backtrack.clear()
+            undo.clear()
             best_pseudo = n + 1
             since_improve = 0
             continue
@@ -360,38 +375,29 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         before = len(t.pseudo_keys)
         a = _draw_pseudo(t, adj, rng)
         cands = _candidates(t, a, adj, nbrs, rng, rp)
-        recent = backtrack[0].canonical_key() if backtrack else None
-        applied: Optional[Move] = None
-        if h.directed and len(cands) == 1 and cands[0][0] == recent:
-            # the only way forward undoes the last move: take it as an
-            # explicit backtrack step
-            backtrack.popleft()
-            key, verts, _diff = cands[0]
-            applied = Move(key[0], verts)
-            t.apply(applied)
-            rep.backtracks += 1
+        if undo:
+            recent = undo[-1].canonical_key()
+            cands = [cand for cand in cands if cand[0] != recent]
+        if cands:
+            jitter = [rng.random() for _ in cands]
+            best = max(range(len(cands)), key=lambda i: (cands[i][2], jitter[i]))
+            key, verts, _diff = cands[best]
+            move = Move(key[0], verts)
+            t.apply(move)
+            if not h.directed:
+                undo.clear()
+            undo.append(move.inverse())
+            rep.successes += 1
         else:
-            if recent is not None:
-                cands = [cand for cand in cands if cand[0] != recent]
-            if cands:
-                jitter = [rng.random() for _ in cands]
-                best = max(range(len(cands)), key=lambda i: (cands[i][2], jitter[i]))
-                key, verts, _diff = cands[best]
-                applied = Move(key[0], verts)
-                t.apply(applied)
-                backtrack.appendleft(applied.inverse())
-                rep.successes += 1
-            else:
-                rep.failures += 1
-                if h.directed and backtrack:
-                    m = backtrack.popleft()
-                    t.apply(m)
-                    rep.backtracks += 1
+            rep.failures += 1
+            if h.directed and undo:
+                t.apply(undo.pop())
+                rep.backtracks += 1
         if not h.directed:
             rot = _pick_rotation(t, adj, nbrs[0], rng)
             if rot is not None:
                 t.rotate(*rot)
-            elif applied is None and not cands:
+            elif not cands:
                 rep.detail = "stuck: no off-tour host edge at any pseudo-arc vertex"
                 rep.pseudo_trajectory.append(len(t.pseudo_keys))
                 break
@@ -484,17 +490,13 @@ def solve_graph(g: Graph, p: Optional[SolveParams] = None) -> SolveReport:
     if g.directed:
         raise TypeError("solve_graph expects an undirected Graph")
     p = p or SolveParams()
-    if g.n >= 3 and not is_connected(g):
-        return SolveReport(
-            "infeasible-precondition", detail="host is not connected"
-        )
-    if g.n >= 3 and g.min_degree() < 2:
-        return SolveReport(
-            "infeasible-precondition", detail="minimum degree below 2"
-        )
     if g.n < 3:
         return SolveReport(
             "infeasible-precondition", detail="undirected circuits need n >= 3"
+        )
+    if not is_connected(g):
+        return SolveReport(
+            "infeasible-precondition", detail="host is not connected"
         )
     return _solve_common(g, p)
 
@@ -506,9 +508,5 @@ def solve_digraph(d: Digraph, p: Optional[SolveParams] = None) -> SolveReport:
     if not is_strongly_connected(d):
         return SolveReport(
             "infeasible-precondition", detail="host is not strongly connected"
-        )
-    if d.min_outdeg() < 1 or d.min_indeg() < 1:
-        return SolveReport(
-            "infeasible-precondition", detail="in- or out-degree below 1"
         )
     return _solve_common(d, p)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from hamperm.graphs import (
     cycle_graph,
     gen_boll_digraph,
     gen_boll_graph,
+    gen_in_out,
+    gen_m_out,
+    to_undirected,
 )
 from hamperm.solver import (
     SolveParams,
@@ -88,6 +92,20 @@ def test_preconditions_digraph():
         solve_digraph(complete_graph(4))
 
 
+def test_degree_certificates_come_from_contract():
+    # K3 plus the pendant vertex 4, and the 1-vertex digraph: the reduction
+    # names the vertex that cannot lie on a circuit
+    pendant = Graph(4, [(1, 2), (2, 3), (3, 1), (3, 4)])
+    rep = solve_graph(pendant)
+    assert rep.outcome == "infeasible-precondition"
+    assert rep.detail == "contraction: vertex 4 has fewer than 2 usable edges"
+    rep = solve_digraph(Digraph(1))
+    assert rep.outcome == "infeasible-precondition"
+    assert rep.detail == "contraction: vertex 1 has no usable in- or out-arc"
+    rep = solve_digraph(Digraph(2, [(1, 2), (2, 1)]))
+    assert rep.outcome == "circuit" and sorted(rep.circuit) == [1, 2]
+
+
 def test_solver_is_deterministic():
     g, _ = gen_boll_graph(80, 5)
     r1 = solve_graph(g, SolveParams(seed=9))
@@ -109,8 +127,80 @@ def test_pseudo_trajectory_monotone_graph_mode():
 def test_report_counters_consistent():
     g, _ = gen_boll_graph(60, 13)
     rep = solve_graph(g, SolveParams(seed=13))
-    assert rep.iterations >= rep.successes + rep.failures - rep.backtracks
+    assert rep.iterations == rep.successes + rep.failures
     assert rep.final_pseudo >= 0
+
+
+# (model, n, seed) digraph hosts where some iteration's only candidate
+# undoes the last move, so a failure pops it
+UNDO_CASES = [
+    ("inout", 30, 3), ("inout", 30, 16), ("inout", 60, 6), ("inout", 60, 13),
+    ("inout", 200, 9), ("bolld", 20, 18), ("bolld", 100, 10),
+]
+COUNT_CASES = [
+    (model, n, seed)
+    for model in ("boll", "r3", "bolld", "inout")
+    for n, seed in ((30, 1), (60, 2), (200, 3))
+] + UNDO_CASES
+
+
+def _model(model, n, seed):
+    if model == "boll":
+        return gen_boll_graph(n, seed)[0]
+    if model == "r3":
+        return to_undirected(gen_m_out(n, 3, seed))
+    if model == "bolld":
+        return gen_boll_digraph(n, seed)[0]
+    return gen_in_out(n, 2, 2, seed)
+
+
+@pytest.mark.parametrize(
+    "model,n,seed", COUNT_CASES, ids=[f"{m}-n{n}-s{s}" for m, n, s in COUNT_CASES]
+)
+def test_counts_add_up(model, n, seed):
+    # every iteration applies a move (a success) or applies none (a
+    # failure); only a digraph failure may pop the undo stack
+    g = _model(model, n, seed)
+    solve = solve_digraph if g.directed else solve_graph
+    rep = solve(g, SolveParams(seed=seed))
+    assert rep.iterations == rep.successes + rep.failures
+    if g.directed:
+        assert rep.backtracks <= rep.failures
+        assert rep.backtracks or (model, n, seed) not in UNDO_CASES
+    else:
+        assert rep.backtracks == 0
+
+
+def _bipartite(left, right, k, seed):
+    """A seeded random bipartite graph on parts 1..left and the next right
+    vertices in which every vertex has degree >= k."""
+    rng = random.Random(seed)
+    g = Graph(left + right)
+    parts = (range(1, left + 1), range(left + 1, left + right + 1))
+    for v in range(1, left + right + 1):
+        other = parts[v <= left]
+        while g.degree(v) < k:
+            w = rng.choice(other)
+            if not g.has_edge(v, w):
+                g.add_edge(v, w)
+    return g
+
+
+def test_graph_mode_memory_does_not_grow_with_budget():
+    # unequal parts: no circuit, and the reduction certifies nothing, so
+    # every solve runs its whole budget; the undo state must not grow with
+    # it (only pseudo_trajectory does, one entry per iteration)
+    g = _bipartite(100, 101, 3, 1)
+    peaks = {}
+    for budget in (1000, 4000):
+        tracemalloc.start()
+        try:
+            rep = solve_graph(g, SolveParams(seed=1, budget=budget))
+            peaks[budget] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.outcome == "timeout" and rep.iterations == budget
+    assert (peaks[4000] - peaks[1000]) / 3000 < 32
 
 
 def test_chain_host_solved_through_condensation():
