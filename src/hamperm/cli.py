@@ -121,7 +121,11 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    graphs.write_graph(g, args.out)
+    try:
+        graphs.write_graph(g, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if g.directed:
         degs = f"min outdeg {g.min_outdeg()}, min indeg {g.min_indeg()}"
     else:

@@ -20,9 +20,13 @@ shuffled-prefix distribution, drawn with fewer random numbers (O(m) while
 the stopped prefix is a small fraction of all pairs, as it is at the
 default thresholds).  gen_m_out and gen_in_out sample target indices
 instead of building a candidate list per vertex; their output is the same
-as that of the list-based draws.  The generators and read_graph name each
-vertex by one shared int object, so the adjacency sets hold n label ints
-rather than one int per edge end.
+as that of the list-based draws.  The Boll pairs are randrange's stream
+read straight from getrandbits (_random_pairs).  The generators fill the
+adjacency sets directly and set m once, since a drawn pair is valid by
+construction; add_edge/add_arc validate only external input (callers and
+read_graph).  The generators and read_graph name each vertex by one shared
+int object, so the adjacency sets hold n label ints rather than one int per
+edge end.
 
 File format (see read_graph/write_graph):
     line 1: "g n m" (undirected) or "d n m" (directed)
@@ -33,7 +37,7 @@ File format (see read_graph/write_graph):
 from __future__ import annotations
 
 import random
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 
 class ParseError(ValueError):
@@ -182,18 +186,27 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
 
 
-def _random_pair(rng: random.Random, labels: list[int]) -> tuple[int, int]:
-    """A uniform ordered pair (u, v) of distinct vertices of 1..n, as the
-    label ints of labels = list(range(n + 1))."""
+def _random_pairs(
+    rng: random.Random, labels: list[int]
+) -> Iterator[tuple[int, int]]:
+    """Uniform ordered pairs (u, v) of distinct vertices of 1..n, as the
+    label ints of labels = list(range(n + 1)), without end.
+
+    Each pair is the stream of randrange(1, n + 1) and randrange(1, n), read
+    from getrandbits by randrange's own rejection loop (draw bit_length(w)
+    bits, redraw while the value is >= the width w), so a seed gives the
+    same pairs as those two calls, without their Python frames."""
     n = len(labels) - 1
-    u = rng.randrange(1, n + 1)
-    v = rng.randrange(1, n)
-    return labels[u], labels[v if v < u else v + 1]
-
-
-def _other(labels: list[int], v: int, j: int) -> int:
-    """The j-th (0-based) vertex of 1..n other than v, as its label int."""
-    return labels[j + 1 if j + 1 < v else j + 2]
+    getrandbits = rng.getrandbits
+    ku, kv = n.bit_length(), (n - 1).bit_length()
+    while True:
+        u = getrandbits(ku)
+        while u >= n:
+            u = getrandbits(ku)
+        v = getrandbits(kv)
+        while v >= n - 1:
+            v = getrandbits(kv)
+        yield labels[u + 1], labels[v + 1 if v < u else v + 2]
 
 
 def gen_boll_graph(n: int, seed: int) -> tuple[Graph, int]:
@@ -204,18 +217,23 @@ def gen_boll_graph(n: int, seed: int) -> tuple[Graph, int]:
     """
     if n < 3:
         raise ValueError("gen_boll_graph requires n >= 3")
-    rng = random.Random(seed)
     g = Graph(n)
     adj = g.adj
-    labels = list(range(n + 1))
+    m = 0
     deficient = n  # vertices with degree < 2
-    while deficient:
-        u, v = _random_pair(rng, labels)
-        if v in adj[u]:
+    for u, v in _random_pairs(random.Random(seed), list(range(n + 1))):
+        au = adj[u]
+        if v in au:
             continue
-        deficient -= (len(adj[u]) == 1) + (len(adj[v]) == 1)
-        g.add_edge(u, v)
-    return g, g.m
+        av = adj[v]
+        deficient -= (len(au) == 1) + (len(av) == 1)
+        au.add(v)
+        av.add(u)
+        m += 1
+        if not deficient:
+            break
+    g.m = m
+    return g, m
 
 
 def gen_boll_digraph(
@@ -230,19 +248,24 @@ def gen_boll_digraph(
         raise ValueError("gen_boll_digraph requires n >= 2")
     if threshold < 1 or threshold > n - 1:
         raise ValueError("threshold out of range")
-    rng = random.Random(seed)
     d = Digraph(n)
     out_adj, in_adj = d.out_adj, d.in_adj
-    labels = list(range(n + 1))
+    m = 0
     below = threshold - 1
     deficient = 2 * n  # (vertex, side) pairs below threshold
-    while deficient:
-        u, v = _random_pair(rng, labels)
-        if v in out_adj[u]:
+    for u, v in _random_pairs(random.Random(seed), list(range(n + 1))):
+        ou = out_adj[u]
+        if v in ou:
             continue
-        deficient -= (len(out_adj[u]) == below) + (len(in_adj[v]) == below)
-        d.add_arc(u, v)
-    return d, d.m
+        iv = in_adj[v]
+        deficient -= (len(ou) == below) + (len(iv) == below)
+        ou.add(v)
+        iv.add(u)
+        m += 1
+        if not deficient:
+            break
+    d.m = m
+    return d, m
 
 
 def gen_m_out(n: int, m: int, seed: int) -> Digraph:
@@ -251,11 +274,17 @@ def gen_m_out(n: int, m: int, seed: int) -> Digraph:
         raise ValueError("gen_m_out requires 1 <= m <= n-1")
     rng = random.Random(seed)
     d = Digraph(n)
+    out_adj, in_adj = d.out_adj, d.in_adj
     labels = list(range(n + 1))
     others = range(n - 1)
     for v in labels[1:]:
+        ov = out_adj[v]
+        # the j-th vertex other than v is j + 1 below v and j + 2 from v on
         for j in rng.sample(others, m):
-            d.add_arc(v, _other(labels, v, j))
+            w = labels[j + 1 if j + 1 < v else j + 2]
+            ov.add(w)
+            in_adj[w].add(v)
+    d.m = n * m
     return d
 
 
@@ -265,27 +294,42 @@ def gen_in_out(n: int, i: int, o: int, seed: int) -> Digraph:
         raise ValueError("gen_in_out requires 1 <= i,o <= n-1")
     rng = random.Random(seed)
     d = Digraph(n)
+    out_adj, in_adj = d.out_adj, d.in_adj
     labels = list(range(n + 1))
     others = range(n - 1)
+    m = 0
     for v in labels[1:]:
+        ov, iv = out_adj[v], in_adj[v]
+        # the j-th vertex other than v is j + 1 below v and j + 2 from v on
         for j in rng.sample(others, i):
-            w = _other(labels, v, j)
-            if not d.has_arc(v, w):
-                d.add_arc(v, w)
+            w = labels[j + 1 if j + 1 < v else j + 2]
+            if w not in ov:
+                ov.add(w)
+                in_adj[w].add(v)
+                m += 1
         for j in rng.sample(others, o):
-            u = _other(labels, v, j)
-            if not d.has_arc(u, v):
-                d.add_arc(u, v)
+            u = labels[j + 1 if j + 1 < v else j + 2]
+            if u not in iv:
+                out_adj[u].add(v)
+                iv.add(u)
+                m += 1
+    d.m = m
     return d
 
 
 def to_undirected(d: Digraph) -> Graph:
     """Forget arc orientation; antiparallel arc pairs collapse to one edge."""
     g = Graph(d.n)
+    adj = g.adj
+    m = 0
     for u, ws in d.out_adj.items():
+        au = adj[u]
         for v in ws:
-            if not g.has_edge(u, v):
-                g.add_edge(u, v)
+            if v not in au:
+                au.add(v)
+                adj[v].add(u)
+                m += 1
+    g.m = m
     return g
 
 
@@ -329,10 +373,11 @@ def read_graph(path: str) -> AnyGraph:
     labels: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            # split() and strip() both cut at str.isspace, so parts[0] starts
+            # where the stripped line does
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
                 continue
-            parts = line.split()
             if header is None:
                 if len(parts) != 3 or parts[0] not in ("g", "d"):
                     raise ParseError("expected header 'g n m' or 'd n m'", lineno)
@@ -345,6 +390,7 @@ def read_graph(path: str) -> AnyGraph:
                 header = parts[0]
                 header_line = lineno
                 g = Digraph(n) if header == "d" else Graph(n)
+                add = g.add_arc if header == "d" else g.add_edge
                 continue
             if len(parts) != 2:
                 raise ParseError("expected 'u v'", lineno)
@@ -352,12 +398,8 @@ def read_graph(path: str) -> AnyGraph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("non-integer vertex", lineno) from None
-            u, v = labels.setdefault(u, u), labels.setdefault(v, v)
             try:
-                if header == "d":
-                    g.add_arc(u, v)
-                else:
-                    g.add_edge(u, v)
+                add(labels.setdefault(u, u), labels.setdefault(v, v))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
     if header is None:

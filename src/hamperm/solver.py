@@ -452,9 +452,10 @@ def _start_order(
             free = [w for w in out_nbrs[v] if not seen[w]]
             if not free:
                 break
-            low = min([left[w] for w in free])
-            ties = [w for w in free if left[w] == low]
-            v = ties[0] if len(ties) == 1 else rng.choice(ties)
+            if len(free) > 1:
+                low = min([left[w] for w in free])
+                free = [w for w in free if left[w] == low]
+            v = free[0] if len(free) == 1 else rng.choice(free)
     return order
 
 

@@ -57,6 +57,14 @@ def test_gen_missing_model_param(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_gen_unwritable_out_exits_1(capsys):
+    code, stdout, err = run(
+        capsys,
+        ["gen", "--model", "boll", "--n", "20", "--out", "/nonexistent/x.txt"],
+    )
+    assert code == 1 and stdout == "" and err.startswith("error: ")
+
+
 def test_solve_k6_roundtrip(tmp_path, capsys):
     path = tmp_path / "k6.txt"
     g = Graph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])

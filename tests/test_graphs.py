@@ -177,19 +177,39 @@ def test_read_graph_skips_comments_and_blanks(tmp_path):
     assert g.n == 3 and g.m == 2
 
 
+def test_read_graph_accepts_indented_comments_and_any_whitespace(tmp_path):
+    # a comment is a line whose first non-whitespace character is "#", and
+    # fields split at any str.isspace character
+    path = tmp_path / "g.txt"
+    path.write_text(
+        "  # x\ng 4 3\n\t# tabbed\n1\t2\n\u00a0# nbsp\n2\u00a03\n \x0c3 4 \n",
+        encoding="utf-8",
+    )
+    assert read_graph(str(path)) == Graph(4, [(1, 2), (2, 3), (3, 4)])
+
+
+# file text -> (line, message) of the ParseError it raises
+_BAD_FILES = {
+    "x 3 2\n1 2\n2 3\n": (1, "expected header 'g n m' or 'd n m'"),
+    "g 3\n1 2\n": (1, "expected header 'g n m' or 'd n m'"),
+    "g 3 2\n1 2 3\n": (2, "expected 'u v'"),
+    "g 3 2\n1 q\n": (2, "non-integer vertex"),
+    "g 3 2\n1 4\n2 3\n": (2, "vertex out of range in edge 1-4"),
+    "g 3 3\n1 2\n2 3\n": (1, "header declares 3 lines but found 2"),
+    "": (1, "empty file"),
+    "g 3 2\n1 2\n2 1\n": (3, "duplicate edge 2-1"),
+    "d 3 2\n1 2\n1 2\n": (3, "duplicate arc (1,2)"),
+    "g 3 1\n1 1\n": (2, "loop edge 1-1"),
+    "g 3 1\n0 1\n": (2, "vertex out of range in edge 0-1"),
+    "d 3 1\n3 4\n": (2, "vertex out of range in arc (3,4)"),
+    "g 0 0\n": (1, "header values out of range"),
+    "g 3 -1\n": (1, "header values out of range"),
+    "g a 2\n": (1, "non-integer header fields"),
+}
+
+
 @pytest.mark.parametrize(
-    "text,badline",
-    [
-        ("x 3 2\n1 2\n2 3\n", 1),
-        ("g 3\n1 2\n", 1),
-        ("g 3 2\n1 2 3\n", 2),
-        ("g 3 2\n1 q\n", 2),
-        ("g 3 2\n1 4\n2 3\n", 2),
-        ("g 3 3\n1 2\n2 3\n", 1),
-        ("", 1),
-        ("g 3 2\n1 2\n2 1\n", 3),
-        ("d 3 2\n1 2\n1 2\n", 3),
-    ],
+    "text,badline", [(text, line) for text, (line, _) in _BAD_FILES.items()]
 )
 def test_read_graph_errors_carry_line_numbers(tmp_path, text, badline):
     path = tmp_path / "bad.txt"
@@ -197,6 +217,7 @@ def test_read_graph_errors_carry_line_numbers(tmp_path, text, badline):
     with pytest.raises(ParseError) as ei:
         read_graph(str(path))
     assert ei.value.line == badline
+    assert str(ei.value) == f"line {badline}: {_BAD_FILES[text][1]}"
 
 
 def test_to_undirected_collapses_antiparallel():
