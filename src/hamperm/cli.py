@@ -145,7 +145,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     try:
         g = graphs.read_graph(args.path)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     params = SolveParams(seed=args.seed, thorough=args.budget == "thorough")
@@ -228,7 +228,7 @@ def cmd_prob(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         g = graphs.read_graph(args.path)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -259,7 +259,7 @@ def cmd_oracle(args) -> int:
 def cmd_tsp(args) -> int:
     try:
         wm = tsp.read_weights(args.path)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

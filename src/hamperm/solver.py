@@ -25,7 +25,7 @@ pseudo-arcs instead of about n.  Each iteration then:
 
 An iteration's Python-level work is bounded by the sampled candidates.
 A vertex v is a pseudo-arc vertex when its tour successor is not in its
-host neighbour set, a test on the tour's order/pos arrays; the tour's
+host neighbour set, a test on the tour's order/pos lists; the tour's
 registry itself holds pseudo-arc keys in a sorted list, so its size is
 |PSEUDO|.  Pseudo-arc vertices (the anchor, the POTDT partner, the
 rotation's pivot) are drawn by that test, and when 8 uniform draws miss, by
@@ -36,8 +36,9 @@ tour positions and the 3-4 arcs it creates; once test_cap candidates are
 scored the iteration draws and scores nothing more, and only the applied
 one becomes a Move.  The sorted neighbour lists are built once per solve.
 A move costs a few C-level list slices on the array Tour, a rotation the
-reversal of its segment in place, each plus O(1) host lookups and O(log
-|PSEUDO|) registry updates.
+reversal of the shorter side of the tour, each plus O(1) host lookups and
+O(log |PSEUDO|) registry updates.  The inline reads of order and pos go
+through the tour's bit rev, as Tour's own do.
 
 Degree-2 chains are reduced first: the search runs on contract(g).reduced,
 the host minus the edges no circuit can use, under the host's own labels,
@@ -140,17 +141,20 @@ def _sorted_neighbors(h: AnyGraph) -> tuple[dict, dict]:
     return out, out
 
 
-def _cycle3(order, pos, adj, a, b, c):
+def _cycle3(order, pos, rev, adj, a, b, c):
     """The candidate (key, (a, b, c), DIFF) of the 3-cycle (a b c), or None
     unless it is admissible (a, b, c clockwise) and passes the pseudo filter
     (at most one of its created arcs a -> succ(b), b -> succ(c),
     c -> succ(a) is off the host).  key equals the Move's canonical_key();
-    a vertex v counts as a pseudo-arc vertex when succ(v) is not in adj[v]."""
+    a vertex v counts as a pseudo-arc vertex when succ(v) is not in adj[v];
+    order, pos and rev are the tour's."""
     n = len(order)
     pa, pb, pc = pos[a], pos[b], pos[c]
-    if (pb - pa) % n >= (pc - pa) % n:
+    # clockwise on the array, which is the tour's direction unless rev
+    if ((pb - pa) % n < (pc - pa) % n) == rev:
         return None
-    sa, sb, sc = order[pa + 1 - n], order[pb + 1 - n], order[pc + 1 - n]
+    f = -1 if rev else 1 - n
+    sa, sb, sc = order[pa + f], order[pb + f], order[pc + f]
     host = (sb in adj[a]) + (sc in adj[b]) + (sa in adj[c])
     if host < 2:
         return None
@@ -164,7 +168,7 @@ def _cycle3(order, pos, adj, a, b, c):
     return ("cycle3", key), (a, b, c), diff
 
 
-def _potdt(order, pos, adj, a, c, b, d):
+def _potdt(order, pos, rev, adj, a, c, b, d):
     """The candidate (key, (a, c, b, d), DIFF) of the POTDT (a c)(b d), or
     None unless it is admissible (chords [a,c] and [b,d] interlace) and
     passes the pseudo filter (at most one of a -> succ(c), c -> succ(a),
@@ -172,11 +176,12 @@ def _potdt(order, pos, adj, a, c, b, d):
     canonical_key(); pseudo-arc vertices are tested as in _cycle3."""
     n = len(order)
     pa, pc, pb, pd = pos[a], pos[c], pos[b], pos[d]
-    qc = (pc - pa) % n
+    qc = (pc - pa) % n  # interlacing holds in either direction
     if ((pb - pa) % n < qc) == ((pd - pa) % n < qc):
         return None
-    sa, sc = order[pa + 1 - n], order[pc + 1 - n]
-    sb, sd = order[pb + 1 - n], order[pd + 1 - n]
+    f = -1 if rev else 1 - n
+    sa, sc = order[pa + f], order[pc + f]
+    sb, sd = order[pb + f], order[pd + f]
     host = (sc in adj[a]) + (sa in adj[c]) + (sd in adj[b]) + (sb in adj[d])
     if host < 3:
         return None
@@ -208,10 +213,12 @@ def _candidates(
     give the same candidates as they would without it; only draws that no
     candidate reads are skipped.
     """
-    order, pos = t.order, t.pos
+    order, pos, rev = t.order, t.pos, t.rev
     out_nbrs, in_nbrs = nbrs
     n = len(order)
-    ha = order[pos[a] + 1 - n]
+    # the index offsets of a vertex's successor and predecessor in order
+    fs, fp = (-1, 1 - n) if rev else (1 - n, -1)
+    ha = order[pos[a] + fs]
     k, cap = rp.edge_cap, rp.test_cap
     tests = 0
     found: dict = {}
@@ -219,16 +226,16 @@ def _candidates(
     xs = [x for x in out_nbrs[a] if x != ha and x != a]
     bs: list[int] = []
     for x in _sample(rng, xs, k):
-        b = order[pos[x] - 1]
+        b = order[pos[x] + fp]
         if b != a:
             bs.append(b)
     for b in bs:
         # second edge at b: 3-cycle (a b c) also creates host arc (b, y)
         ys = [y for y in out_nbrs[b] if y != a and y != b]
         for y in _sample(rng, ys, k):
-            c = order[pos[y] - 1]
+            c = order[pos[y] + fp]
             if c != a and c != b:
-                cand = _cycle3(order, pos, adj, a, b, c)
+                cand = _cycle3(order, pos, rev, adj, a, b, c)
                 if cand is not None:
                     found.setdefault(cand[0], cand)
                 tests += 1
@@ -237,7 +244,7 @@ def _candidates(
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
         zs = [z for z in in_nbrs[ha] if z != a and z != b and z != ha]
         for y in _sample(rng, zs, k):
-            cand = _cycle3(order, pos, adj, a, b, y)
+            cand = _cycle3(order, pos, rev, adj, a, b, y)
             if cand is not None:
                 found.setdefault(cand[0], cand)
             tests += 1
@@ -246,13 +253,13 @@ def _candidates(
     # POTDTs seeded from a second pseudo-arc vertex
     if len(t.pseudo_keys) > 1 and bs:
         v2 = _draw_pseudo(t, adj, rng, a)
-        s2 = order[pos[v2] + 1 - n]
+        s2 = order[pos[v2] + fs]
         ws = [w for w in out_nbrs[v2] if w != s2 and w != v2]
         for w in _sample(rng, ws, k):
-            d = order[pos[w] - 1]
+            d = order[pos[w] + fp]
             for b in bs:
                 if b != v2 and d != a and d != b and d != v2:
-                    cand = _potdt(order, pos, adj, a, b, v2, d)
+                    cand = _potdt(order, pos, rev, adj, a, b, v2, d)
                     if cand is not None:
                         found.setdefault(cand[0], cand)
                     tests += 1
@@ -305,9 +312,10 @@ def _draw_pseudo(
     """
     order, pos = t.order, t.pos
     n = len(order)
+    fs = -1 if t.rev else 1 - n
     for _ in range(8):
         v = rng.randrange(n) + 1
-        if order[pos[v] + 1 - n] not in adj[v] and v != exclude:
+        if order[pos[v] + fs] not in adj[v] and v != exclude:
             return v
     size = len(t.pseudo_keys)
     skip = t.pseudo_index(exclude) if exclude else size

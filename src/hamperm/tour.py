@@ -28,11 +28,14 @@ and a POTDT (a c)(b d) rewires
 Rotations (graph mode only) reverse the tour segment between v and w where
 [v, w] is a host edge off the tour.
 
-The Tour is an array (order) with a position map (pos); order[0] carries
-no meaning, since a rotation reverses its segment in place wherever it lies.
-A move costs a few C-level list slices plus a position update over the span
-it rewires, and a rotation one or two slice reversals plus a position update
-over its segment.  Either does O(1) host lookups and registry updates: a
+A tour is an array, order, with pos[v] the index of v in it; only
+_reverse and _relink rearrange one, for Tour and for tsp.py alike.  A Tour
+reads order backward when its bit rev is set.  A rotation reverses the
+shorter side of the cycle (at most n/2 positions) and flips rev when that
+is the side off its segment, as in Fredman, Johnson, McGeoch & Ostheimer
+(J. Algorithms 18, 1995); every read goes through rev, so no result depends
+on the side, and order[0] carries no meaning.  A move costs a few C-level
+list slices.  Either does O(1) host lookups and registry updates: a
 reversed edge keeps its unordered key, so only the 3-4 arcs a move creates,
 or the 2 arcs a rotation creates, are tested against the host.
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 from .graphs import AnyGraph
@@ -127,7 +130,8 @@ class Move:
 
 
 class Tour:
-    """A pseudo-Hamilton circuit over a host graph/digraph.
+    """A pseudo-Hamilton circuit over a host graph/digraph, read along
+    order, or against it when rev is set (never on a digraph).
 
     pseudo_keys holds one int per pseudo-arc (u, v), in increasing order:
     min(u,v)*(n+1) + max(u,v) on an undirected host with n >= 3, where the
@@ -142,7 +146,8 @@ class Tour:
             raise ValueError("order must be a permutation of 1..n")
         self.host = host
         self.order: list[int] = list(order)
-        self.pos: dict[int, int] = {v: i for i, v in enumerate(self.order)}
+        self.pos: list[int] = _positions(self.order)
+        self.rev = False
         self._base = host.n + 1
         self._unordered = not host.directed and host.n >= 3
         self.pseudo_keys: list[int] = self._count_pseudo_keys()
@@ -154,29 +159,30 @@ class Tour:
         return len(self.order)
 
     def succ(self, v: int) -> int:
-        i = self.pos[v] + 1
-        return self.order[i if i < len(self.order) else 0]
+        i = self.pos[v]
+        return self.order[i - 1 if self.rev else i + 1 - len(self.order)]
 
     def pred(self, v: int) -> int:
-        return self.order[self.pos[v] - 1]
-
-    def ord(self, v: int) -> int:
-        """1-based ordinal with ord(order[0]) = 1."""
-        return self.pos[v] + 1
+        i = self.pos[v]
+        return self.order[i + 1 - len(self.order) if self.rev else i - 1]
 
     def sequence(self) -> list[int]:
-        return list(self.order)
+        """The tour as a list starting at order[0]."""
+        return self.sequence_from(self.order[0])
 
     def sequence_from(self, v: int) -> list[int]:
         """The tour as a list starting at vertex v."""
-        i = self.pos[v]
-        return self.order[i:] + self.order[:i]
+        order, i = self.order, self.pos[v]
+        if self.rev:
+            return order[i::-1] + order[:i:-1]
+        return order[i:] + order[:i]
 
     def copy(self) -> "Tour":
         t = Tour.__new__(Tour)
         t.host = self.host
         t.order = list(self.order)
-        t.pos = dict(self.pos)
+        t.pos = list(self.pos)
+        t.rev = self.rev
         t._base = self._base
         t._unordered = self._unordered
         t.pseudo_keys = list(self.pseudo_keys)
@@ -220,9 +226,9 @@ class Tour:
             return {k // base for k in self.pseudo_keys}
         # the key's pair is {u, v} with u < v: u begins the arc iff v follows it
         order, pos = self.order, self.pos
-        n = len(order)
+        f = -1 if self.rev else 1 - len(order)
         return {
-            u if order[pos[u] + 1 - n] == v else v
+            u if order[pos[u] + f] == v else v
             for u, v in map(divmod, self.pseudo_keys, repeat(base))
         }
 
@@ -236,6 +242,8 @@ class Tour:
 
     def clockwise(self, a: int, b: int, c: int) -> bool:
         """True iff a, b, c occur in clockwise cyclic order on the tour."""
+        if self.rev:
+            b, c = c, b
         n = len(self.order)
         pa = self.pos[a]
         return (self.pos[b] - pa) % n < (self.pos[c] - pa) % n
@@ -261,35 +269,23 @@ class Tour:
     def apply(self, m: Move) -> "Tour":
         """Apply an admissible move in place; returns self.
 
-        Cutting the cycle after each moved vertex, at sorted positions
-        p < q < r (< s), leaves chunks that the move only relinks (no chunk
-        is reversed), so the new order is a concatenation of list slices:
-        a 3-cycle swaps the chunks p+1..q and q+1..r, and a POTDT (a double
-        bridge) puts the chunks p+1..q, q+1..r and r+1..s in reverse order.
-        The chunk holding order[0] keeps its place, so order[0] and every
-        position outside the first..last cut span stay as they were.  Only
-        the moved vertices' arcs change, so the registry drops their old
-        keys and adds the new arcs that are off the host.
+        Cutting the cycle between each moved vertex v and its successor,
+        at cut pos[v] - rev, leaves chunks that the move only relinks.
+        Only the moved vertices' arcs change, so the registry drops their
+        old keys and adds the new arcs that are off the host.
         """
         if not self.admissible(m):
             raise InadmissibleMove(f"move {m} is not admissible on this tour")
-        order = self.order
-        pos = self.pos
-        p, q, r, *rest = sorted(pos[v] for v in m.verts)
-        last = rest[0] if rest else r
-        middle = order[q + 1 : r + 1] + order[p + 1 : q + 1]
-        if rest:
-            middle = order[r + 1 : last + 1] + middle
-        n = len(order)
+        order, pos, rev = self.order, self.pos, self.rev
+        f = -1 if rev else 1 - len(order)
         key = self._key
         keys = self.pseudo_keys
         for u in m.verts:
-            _discard(keys, key(u, order[pos[u] + 1 - n]))
-        order[p + 1 : last + 1] = middle
-        pos.update(zip(middle, range(p + 1, last + 1)))
+            _discard(keys, key(u, order[pos[u] + f]))
+        _relink(order, pos, sorted(pos[v] - rev for v in m.verts))
         has_arc = self.host.has_arc
         for u in m.verts:
-            v = order[pos[u] + 1 - n]
+            v = order[pos[u] + f]
             if not has_arc(u, v):
                 insort(keys, key(u, v))
         return self
@@ -300,14 +296,10 @@ class Tour:
         """Reverse the segment succ(v)..w so the tour reads v, w, ..., succ(v).
 
         Requires [v, w] to be a host edge not on the tour; graph mode only.
-        The segment is reversed in place (two slices when it wraps past the
-        end of order) and only its positions are rewritten, so order[0] is
-        whichever vertex the array happens to start with.  The other side
-        is never reversed instead: that would flip the direction the tour
-        is read in.  A reversed edge keeps its unordered key, so only the
-        keys of the removed arcs (v, succ(v)) and (w, succ(w)) and of the
-        new arc (succ(v), succ(w)) change; the new arc (v, w) is a host
-        edge.
+        A reversed edge keeps its unordered key, so only the keys of the
+        removed arcs (v, succ(v)) and (w, succ(w)) and of the new arc
+        (succ(v), succ(w)) change.  When _reverse takes the side off the
+        segment, order reads the new cycle backward, so rev flips.
         """
         host = self.host
         if host.directed:
@@ -315,30 +307,21 @@ class Tour:
         order, pos = self.order, self.pos
         n = len(order)
         i, j = pos[v], pos[w]
-        s = i + 1 if i + 1 < n else 0  # position of succ(v)
-        if j == i or j == s or j == i - 1 or j == i - 1 + n:
+        if (j - i) % n in (0, 1, n - 1):
             raise ValueError("rotation endpoints must be nonadjacent on the tour")
         if not host.has_arc(v, w):
             raise ValueError(f"[{v},{w}] is not a host edge")
-        hv, hw = order[s], order[j + 1 - n]
+        f = -1 if self.rev else 1 - n
+        hv, hw = order[i + f], order[j + f]
         key = self._key
         keys = self.pseudo_keys
         _discard(keys, key(v, hv))
         _discard(keys, key(w, hw))
         if not host.has_arc(hv, hw):
             insort(keys, key(hv, hw))
-        if s <= j:
-            seg = order[s : j + 1]
-            seg.reverse()
-            order[s : j + 1] = seg
-            pos.update(zip(seg, range(s, j + 1)))
-        else:
-            seg = order[s:] + order[: j + 1]
-            seg.reverse()
-            k = n - s
-            order[s:] = seg[:k]
-            order[: j + 1] = seg[k:]
-            pos.update(zip(seg, chain(range(s, n), range(j + 1))))
+        # the segment's positions, from after i to j in the tour's direction
+        lo, hi = (j, i - 1) if self.rev else (i + 1, j)
+        self.rev ^= _reverse(order, pos, lo % n, hi % n)
         return self
 
     # ---------- integrity / serialization ----------
@@ -349,10 +332,11 @@ class Tour:
         n = len(self.order)
         if sorted(self.order) != list(range(1, n + 1)):
             raise AssertionError("order is not a permutation of 1..n")
-        if len(self.pos) != n or any(
-            self.pos.get(v) != i for i, v in enumerate(self.order)
-        ):
+        pos = self.pos
+        if len(pos) != n + 1 or any(pos[v] != i for i, v in enumerate(self.order)):
             raise AssertionError("pos does not match order")
+        if self.rev and self.host.directed:
+            raise AssertionError("a digraph tour is read backward")
         keys = self.pseudo_keys
         if any(k >= later for k, later in zip(keys, keys[1:])):
             raise AssertionError(
@@ -383,27 +367,59 @@ def _discard(keys: list[int], k: int) -> None:
     del keys[i : i + 1]
 
 
-# ---------- module-level operation surface ----------
+# ---------- the array primitives ----------
 
 
-def admissible_3cycle(t: Tour, a: int, b: int, c: int) -> bool:
-    if len({a, b, c}) != 3:
-        raise ValueError("vertices must be distinct")
-    return t.clockwise(a, b, c)
+def _positions(order: list[int]) -> list[int]:
+    """pos[v]: the index of v in order, a permutation of 1..n."""
+    pos = [0] * (len(order) + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
 
 
-def admissible_potdt(t: Tour, a: int, c: int, b: int, d: int) -> bool:
-    if len({a, b, c, d}) != 4:
-        raise ValueError("vertices must be distinct")
-    return t.interlace(a, c, b, d)
+def _reverse(order: list[int], pos: list[int], i: int, j: int) -> bool:
+    """Reverse the run at the cyclic positions i..j of order (past its end
+    when j < i) or, when that run is more than half of order, the run at
+    all other positions; pos follows.  Either gives the same cycle, which
+    order reads backward after the second.  Returns whether it took the
+    other run."""
+    n = len(order)
+    flip = 2 * ((j - i) % n + 1) > n
+    if flip:
+        i, j = (j + 1) % n, (i - 1) % n
+    if i <= j:
+        run = order[i : j + 1]
+        run.reverse()
+        order[i : j + 1] = run
+        for k, v in enumerate(run, i):
+            pos[v] = k
+        return flip
+    run = order[i:] + order[: j + 1]
+    run.reverse()
+    head, tail = run[: n - i], run[n - i :]
+    order[i:], order[: j + 1] = head, tail
+    for k, v in enumerate(head, i):
+        pos[v] = k
+    for k, v in enumerate(tail):
+        pos[v] = k
+    return flip
 
 
-def apply_move(t: Tour, m: Move) -> Tour:
-    return t.apply(m)
-
-
-def rotate(t: Tour, v: int, w: int) -> Tour:
-    return t.rotate(v, w)
+def _relink(order: list[int], pos: list[int], cuts: Sequence[int]) -> None:
+    """Relink the chunks of order between sorted cuts, reversing none; pos
+    follows.  Cut c lies between positions c and c + 1 (-1 <= c < n).  Cuts
+    p < q < r exchange the chunks p+1..q and q+1..r; cuts p < q < r < s put
+    p+1..q, q+1..r and r+1..s in reverse order (a double bridge).  No other
+    position changes."""
+    p, q, r, *rest = cuts
+    last = rest[0] if rest else r
+    middle = order[q + 1 : r + 1] + order[p + 1 : q + 1]
+    if rest:
+        middle = order[r + 1 : last + 1] + middle
+    order[p + 1 : last + 1] = middle
+    for k, v in enumerate(middle, p + 1):
+        pos[v] = k
 
 
 # ---------- abbreviations ----------
@@ -412,7 +428,7 @@ def rotate(t: Tour, v: int, w: int) -> Tour:
 class Abbreviation:
     """The paper's run notation for a tour, read off a Tour.
 
-    The base tour's order fixes the ordinals (base_order[i] has ordinal
+    The base tour's sequence fixes the ordinals (base_order[i] has ordinal
     i + 1).  Moves and rotations go to a copy of the base through
     Tour.apply and Tour.rotate, with their checks; the ordinal sequence is
     that tour read from the base's first vertex, and runs are its maximal
@@ -422,7 +438,7 @@ class Abbreviation:
     """
 
     def __init__(self, base: Tour):
-        self.base_order = list(base.order)
+        self.base_order = base.sequence()
         self.base_ord = {v: i + 1 for i, v in enumerate(self.base_order)}
         self.tour = base.copy()
         self.move_count = 0
@@ -472,11 +488,3 @@ class Abbreviation:
             else:
                 parts.extend([str(a), "---", str(b)])
         return " ".join(parts)
-
-
-def rebase(t: Tour) -> Abbreviation:
-    return Abbreviation(t)
-
-
-def materialize(a: Abbreviation) -> Tour:
-    return a.materialize()

@@ -24,10 +24,11 @@ otherwise.  The budget counts kicks.  Full passes over every city, until
 one applies no move, finish the search, so the returned tour has no
 improving neighbour-list move.
 
-A tour is the list order of its cities with pos, each city's index in it.
-A reversal rewrites whichever of the two paths it may reverse is shorter,
-so the list may be read in either direction; the tour returned is read
-from vertex 1 in the list's direction.
+A tour is a bare order/pos array of tour.py, with no host, registry or
+orientation bit.  A 2-opt is one tour._reverse, which reverses the shorter
+of its two paths, so the list may be read either way; an Or-opt is three,
+and a kick is one tour._relink.  The tour returned is read from vertex 1
+in the list's direction.
 
 Every decision compares sums of weights, so the search runs on the weights
 times their common denominator, as ints, and the running weight is kept in
@@ -49,7 +50,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .graphs import ParseError
-from .tour import Tour
+from .tour import Tour, _positions, _relink, _reverse
 
 Weight = Union[int, Fraction]
 # A weight table indexed by vertex labels: w[u][v] is the weight of u-v.
@@ -82,35 +83,40 @@ def _parse_number(tok: str, lineno: int) -> Weight:
     try:
         return int(tok)
     except ValueError:
-        try:
-            return Fraction(tok)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad number {tok!r}", lineno) from None
+        pass
+    _, e, exponent = tok.upper().partition("E")
+    try:
+        # Fraction builds 10**exponent ("1e10000000" takes seconds); refuse
+        # past 4300, the digit count at which int() refuses a decimal string
+        if e and abs(int(exponent)) > 4300:
+            raise ValueError("exponent out of range")
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad number {tok!r}", lineno) from None
 
 
 def read_weights(path: str) -> WeightMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
     n = None
     rows: list[list[Weight]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "w":
-                raise ParseError("expected header 'w n'", lineno)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError("non-integer size", lineno) from None
-            if n < 1:
-                raise ParseError("size out of range", lineno)
-            continue
-        if len(parts) != n:
-            raise ParseError(f"expected {n} entries", lineno)
-        rows.append([_parse_number(tok, lineno) for tok in parts])
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if n is None:
+                if len(parts) != 2 or parts[0] != "w":
+                    raise ParseError("expected header 'w n'", lineno)
+                try:
+                    n = int(parts[1])
+                except ValueError:
+                    raise ParseError("non-integer size", lineno) from None
+                if n < 1:
+                    raise ParseError("size out of range", lineno)
+                continue
+            if len(parts) != n:
+                raise ParseError(f"expected {n} entries", lineno)
+            rows.append([_parse_number(tok, lineno) for tok in parts])
     if n is None:
         raise ParseError("empty file", 1)
     if len(rows) != n:
@@ -165,25 +171,6 @@ def _nearest(wi: list[list[int]]) -> list[list[int]]:
         sorted((u for u in verts if u != v), key=wi[v].__getitem__)[:K]
         for v in verts
     ]
-
-
-def _reverse(order: list[int], pos: list[int], i: int, j: int) -> None:
-    """Reverse the path at positions i..j of the cyclic list order (past
-    its end when j < i) or, if shorter, the path at all other positions:
-    either gives the same cycle."""
-    n = len(order)
-    if 2 * ((j - i) % n + 1) > n:
-        i, j = (j + 1) % n, (i - 1) % n
-    if i <= j:
-        run = order[i:j + 1]
-        run.reverse()
-        order[i:j + 1] = run
-    else:
-        run = order[i:] + order[:j + 1]
-        run.reverse()
-        order[i:], order[:j + 1] = run[:n - i], run[n - i:]
-    for k, v in enumerate(run, i):
-        pos[v] = k % n
 
 
 def _swap_arcs(
@@ -302,10 +289,7 @@ def _kick(
     delta = (wi[a][c1] + wi[c][a1] + wi[b][d1] + wi[d][b1]) - (
         wi[a][a1] + wi[b][b1] + wi[c][c1] + wi[d][d1]
     )
-    mid = order[k + 1:m + 1] + order[j + 1:k + 1] + order[i + 1:j + 1]
-    order[i + 1:m + 1] = mid
-    for p, v in enumerate(mid, i + 1):
-        pos[v] = p
+    _relink(order, pos, (i, j, k, m))
     return delta, (a, a1, b, b1, c, c1, d, d1)
 
 
@@ -340,9 +324,7 @@ def tsp_solve(
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(order):
-        pos[v] = i
+    pos = _positions(order)
     trace: list = [("start", None, tour_weight(wm, order))]
     cost = sum(wi[order[i - 1]][v] for i, v in enumerate(order))
     cost = _descend(wi, near, order, pos, cost, order[:], trace, scale)

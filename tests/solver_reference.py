@@ -43,7 +43,7 @@ from hamperm.contract import ContractError
 from hamperm.graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
 from hamperm.oracle import verify_circuit
 from hamperm.solver import SolveReport
-from hamperm.tour import InadmissibleMove, Move, UnsupportedOperation, rebase
+from hamperm.tour import Abbreviation, InadmissibleMove, Move, UnsupportedOperation
 
 
 class Tour:
@@ -469,7 +469,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         {v: _host_neighbors(h, v, incoming=True) for v in range(1, n + 1)},
     )
     t = Tour(h, _start_order(h, nbrs, rng))
-    abb = rebase(t)
+    abb = Abbreviation(t)
     backtrack: deque[Move] = deque()
     rep = SolveReport("timeout")
     # digraph mode has no rotations, so a bad start can oscillate; restart
@@ -483,7 +483,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             break
         if h.directed and since_improve >= stall_limit:
             t = Tour(h, _start_order(h, nbrs, rng))
-            abb = rebase(t)
+            abb = Abbreviation(t)
             backtrack.clear()
             best_pseudo = n + 1
             since_improve = 0
@@ -545,7 +545,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             after = len(t.pseudo_vertices())
             assert after <= before, "pseudo count increased in graph mode"
         if rep.iterations % rp.rebase_cadence == 0:
-            abb = rebase(t)
+            abb = Abbreviation(t)
         cur = len(t.pseudo_vertices())
         if cur < best_pseudo:
             best_pseudo = cur

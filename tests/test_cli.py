@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -244,3 +245,27 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["frobnicate"])[0] == 1
     assert run(capsys, ["gen", "--model", "nope", "--n", "5", "--out", "x"])[0] == 1
     assert run(capsys, ["solve"])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["oracle", "--mode", "brute"], ["tsp"]],
+    ids=["solve", "oracle", "tsp"],
+)
+def test_non_utf8_file_exits_1(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"g 3 3\n1 2\n2 \xff3\n3 1\n")
+    code, stdout, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_tsp_huge_exponent_exits_1_at_once(tmp_path, capsys):
+    # Fraction would build 10**(10**8) for this token
+    path = tmp_path / "w.txt"
+    path.write_text("w 4\n0 1 2 5\n1 0 1e100000000 2\n2 1e100000000 0 1\n5 2 1 0\n")
+    t0 = time.process_time()
+    code, stdout, err = run(capsys, ["tsp", str(path)])
+    assert time.process_time() - t0 < 1.0
+    assert code == 1 and stdout == ""
+    assert "error: line 3: bad number '1e100000000'" in err

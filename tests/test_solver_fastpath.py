@@ -54,7 +54,7 @@ def _host(model, n, seed):
 
 def _expected(t, m):
     """(accepted, key, DIFF) by the Move/Tour path."""
-    rt = solver_reference.Tour(t.host, t.order)
+    rt = solver_reference.Tour(t.host, t.sequence())
     ok = t.admissible(m) and solver_reference.passes_pseudo_filter(rt, m)
     return ok, m.canonical_key(), solver_reference.diff_score(rt, m)
 
@@ -77,7 +77,9 @@ def test_inline_scoring_matches_move_path(model, n, seed):
     rng.shuffle(order)
     t = Tour(h, order)
     outcomes = {"accepted": 0, "inadmissible": 0, "filtered": 0}
+    revs = set()
     for step in range(60):
+        revs.add(t.rev)
         for _ in range(40):
             if rng.random() < 0.5:
                 # uniform triples and quadruples
@@ -97,10 +99,10 @@ def test_inline_scoring_matches_move_path(model, n, seed):
                     continue
             if len(verts) == 3:
                 m = Move.cycle3(*verts)
-                got = _cycle3(t.order, t.pos, adj, *verts)
+                got = _cycle3(t.order, t.pos, t.rev, adj, *verts)
             else:
                 m = Move.potdt(*verts)
-                got = _potdt(t.order, t.pos, adj, *verts)
+                got = _potdt(t.order, t.pos, t.rev, adj, *verts)
             ok, key, diff = _expected(t, m)
             if ok:
                 assert got == (key, m.verts, diff)
@@ -116,7 +118,15 @@ def test_inline_scoring_matches_move_path(model, n, seed):
             if t.admissible(m):
                 t.apply(m)
                 break
+        # and on a graph a rotation, so the tour is read both ways round
+        if not h.directed and n > 5:
+            v = rng.randint(1, n)
+            ws = sorted(w for w in adj[v] if w not in (v, t.succ(v), t.pred(v)))
+            if ws:
+                t.rotate(v, rng.choice(ws))
     assert outcomes["accepted"] and outcomes["inadmissible"]
+    if not h.directed and n > 5:
+        assert revs == {False, True}
     if model != "complete" and n >= 30:
         # small r3/Boll hosts can be too dense for the filter to bite
         assert outcomes["filtered"]

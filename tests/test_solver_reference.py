@@ -5,8 +5,9 @@ were before the fast paths; both must agree with the current code exactly:
 the whole SolveReport per instance (the reference's failures mapped as
 _both describes), and the cyclic order and pseudo-arc vertices after every
 step of seeded random move and rotation sequences (the current Tour
-reverses a rotation's segment in place, so its order array may start
-elsewhere; check_invariants covers its positions and key registry).
+reverses the shorter side of a rotation, so its order array may start
+elsewhere and read backward; its sequences read through rev, and
+check_invariants covers its positions and key registry).
 """
 
 import random
@@ -171,10 +172,15 @@ def test_tour_sequences_match_reference(k):
                     t.apply(m)
                 _same(t, r)
                 continue
-            start_vertex = t.order[0]
+            # the cut after v lies between v and its successor: after
+            # pos[v], or before it when the tour reads order backward
+            cuts = sorted(t.pos[v] - t.rev for v in m.verts)
+            before = list(t.order)
             t.apply(m)
             r.apply(m)
-            assert t.order[0] == start_vertex
+            # only the positions between the first and the last cut change
+            kept = [i for i in range(n) if not cuts[0] < i <= cuts[-1]]
+            assert [t.order[i] for i in kept] == [before[i] for i in kept]
         _same(t, r)
         if rng.random() < 0.1:
             c = t.copy()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import solver_reference
+from hamperm import tour
 from hamperm.graphs import Graph, complete_graph, cycle_graph, gen_boll_graph
 from hamperm.tour import (
     Abbreviation,
@@ -10,12 +11,6 @@ from hamperm.tour import (
     Move,
     Tour,
     UnsupportedOperation,
-    admissible_3cycle,
-    admissible_potdt,
-    apply_move,
-    materialize,
-    rebase,
-    rotate,
 )
 
 
@@ -126,14 +121,21 @@ def test_inadmissible_move_raises():
         t.apply(m)
 
 
-def test_module_level_predicates_match_methods():
+def test_admissible_matches_clockwise_and_interlace():
     rng = random.Random(2)
     t = identity_tour(20)
-    for _ in range(200):
+    revs = set()
+    for step in range(200):
+        revs.add(t.rev)
         a, b, c = rng.sample(range(1, 21), 3)
-        assert admissible_3cycle(t, a, b, c) == t.clockwise(a, b, c)
+        assert t.admissible(Move.cycle3(a, b, c)) == t.clockwise(a, b, c)
         a, c, b, d = rng.sample(range(1, 21), 4)
-        assert admissible_potdt(t, a, c, b, d) == t.interlace(a, c, b, d)
+        assert t.admissible(Move.potdt(a, c, b, d)) == t.interlace(a, c, b, d)
+        if step % 20 == 0:
+            # read the tour both ways round: rotations flip rev
+            v = rng.randint(1, 20)
+            t.rotate(v, t.sequence_from(v)[rng.randint(2, 18)])
+    assert revs == {False, True}
 
 
 # --------------------------------------------------------------------------
@@ -225,18 +227,81 @@ def test_diff_score_and_filter():
     t = Tour(g, [1, 2, 3, 4, 5])
     m = Move.cycle3(1, 3, 5)  # admissible on the identity order
     assert t.admissible(m)
-    rt = solver_reference.Tour(t.host, t.order)
+    rt = solver_reference.Tour(t.host, t.sequence())
     # new arcs: (1,4),(3,1),(5,2); only (3,1) is a host edge
     assert solver_reference.diff_score(rt, m) == 1 - 3
     # creates two pseudo-arcs
     assert not solver_reference.passes_pseudo_filter(rt, m)
 
 
-def test_apply_and_rotate_module_functions():
+def test_apply_then_rotate_keeps_invariants():
     t = identity_tour(6)
-    apply_move(t, Move.cycle3(1, 3, 5))
-    rotate(t, 1, 5)
+    t.apply(Move.cycle3(1, 3, 5))
+    t.rotate(1, 5)
     t.check_invariants()
+
+
+def test_tour_matches_reference_under_random_steps(monkeypatch):
+    # the array Tour reverses the shorter side of a rotation and flips rev;
+    # solver_reference.Tour reverses the segment itself and never flips, so
+    # every logical read must agree after every step
+    real = tour._reverse
+    branches = set()
+
+    def reverse(order, pos, i, j):
+        n = len(order)
+        flip = real(order, pos, i, j)
+        branches.add("complement" if flip else "segment")
+        lo, hi = ((j + 1) % n, (i - 1) % n) if flip else (i, j)
+        if lo > hi:
+            branches.add("wrapping")
+        if 2 * ((j - i) % n + 1) == n:
+            branches.add("tie")
+        return flip
+
+    monkeypatch.setattr(tour, "_reverse", reverse)
+    rng = random.Random(8)
+    for trial in range(60):
+        n = rng.randint(5, 40)
+        g = complete_graph(n) if trial % 3 == 0 else gen_boll_graph(n, trial)[0]
+        order = rng.sample(range(1, n + 1), n)
+        t, ref = Tour(g, order), solver_reference.Tour(g, order)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                verts = rng.sample(range(1, n + 1), rng.choice((3, 4)))
+                m = Move.cycle3(*verts) if len(verts) == 3 else Move.potdt(*verts)
+                assert t.admissible(m) == ref.admissible(m)
+                if not t.admissible(m):
+                    continue
+                t.apply(m)
+                ref.apply(m)
+            else:
+                v = rng.randint(1, n)
+                near = (v, ref.succ(v), ref.pred(v))
+                ws = sorted(w for w in g.adj[v] if w not in near)
+                if not ws:
+                    continue
+                w = rng.choice(ws)
+                before = list(t.order)
+                t.rotate(v, w)
+                ref.rotate(v, w)
+                rewritten = sum(x != y for x, y in zip(before, t.order))
+                assert rewritten <= (n + 1) // 2
+            t.check_invariants()
+            assert [t.succ(v) for v in range(1, n + 1)] == [
+                ref.succ(v) for v in range(1, n + 1)
+            ]
+            assert [t.pred(v) for v in range(1, n + 1)] == [
+                ref.pred(v) for v in range(1, n + 1)
+            ]
+            for v in range(1, n + 1):
+                assert t.sequence_from(v) == ref.sequence_from(v)
+            for _ in range(20):
+                a, b, c, d = rng.sample(range(1, n + 1), 4)
+                assert t.clockwise(a, b, c) == ref.clockwise(a, b, c)
+                assert t.interlace(a, c, b, d) == ref.interlace(a, c, b, d)
+            assert t.pseudo_vertices() == ref.pseudo_vertices()
+    assert branches == {"segment", "complement", "wrapping", "tie"}
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +327,7 @@ def test_abbreviation_golden_sequence():
     assert abb.ordinal_sequence() == [1, 5, 6, 10, 11, 12, 13, 14, 7, 9, 8, 4, 3, 2, 15]
     step_move(Move.potdt(3, 15, 12, 14))
     assert abb.ordinal_sequence() == [1, 5, 14, 7, 9, 8, 4, 3, 2, 10, 11, 12, 13, 6, 15]
-    assert materialize(abb).sequence_from(1) == t.sequence_from(1)
+    assert abb.materialize().sequence_from(1) == t.sequence_from(1)
 
 
 def test_abbreviation_matches_direct_updates():
@@ -272,7 +337,7 @@ def test_abbreviation_matches_direct_updates():
         order = list(range(1, 51))
         rng.shuffle(order)
         t = Tour(g, order)
-        abb = rebase(t)
+        abb = Abbreviation(t)
         for _ in range(20):
             if rng.random() < 0.6:
                 a, b, c = rng.sample(range(1, 51), 3)
@@ -287,12 +352,12 @@ def test_abbreviation_matches_direct_updates():
                 w = rng.choice(ws)
                 t.rotate(v, w)
                 abb.rotate(v, w)
-            assert materialize(abb).sequence_from(t.order[0]) == t.sequence()
+            assert abb.materialize().sequence_from(1) == t.sequence_from(1)
 
 
 def test_abbreviation_render_is_sparse():
     base = identity_tour(100)
-    abb = rebase(base)
+    abb = Abbreviation(base)
     assert abb.render() == "1 … 100"
     abb.apply_move(Move.cycle3(1, 40, 80))
     # one move touches O(1) runs, so the rendering stays short
@@ -302,19 +367,27 @@ def test_abbreviation_render_is_sparse():
 
 def test_abbreviation_render_marks_descending_runs():
     base = identity_tour(30)
-    abb = rebase(base)
+    abb = Abbreviation(base)
     abb.rotate(1, 20)
     assert "---" in abb.render()
 
 
 def test_rebase_resets_runs():
     t = identity_tour(20)
-    abb = rebase(t)
+    abb = Abbreviation(t)
     abb.apply_move(Move.cycle3(1, 5, 9))
     t.apply(Move.cycle3(1, 5, 9))
-    fresh = rebase(t)
+    fresh = Abbreviation(t)
     assert fresh.runs == [(1, 20)]
-    assert materialize(fresh).sequence_from(t.order[0]) == t.sequence()
+    assert fresh.materialize().sequence_from(1) == t.sequence_from(1)
+    # a base read against its array: the segment 2..15 is the longer side,
+    # so the rotation reverses the other one and sets rev
+    t = identity_tour(20)
+    t.rotate(1, 15)
+    assert t.rev
+    fresh = Abbreviation(t)
+    assert fresh.runs == [(1, 20)]
+    assert fresh.materialize().sequence_from(1) == t.sequence_from(1)
 
 
 def test_stripping_replay_golden():

@@ -104,7 +104,9 @@ def _rotate_checked(t, v, w, seen):
     the same direction as before."""
     n = t.n
     i, j = t.pos[v], t.pos[w]
-    seen["wrap"] += i > j
+    # the segment runs from v to w along order, or against it when rev is
+    # set, and wraps past an end of order when that passes from i to j
+    seen["wrap"] += (i > j) != t.rev
     seen["v_last"] += i == n - 1
     seen["w_first"] += j == 0
     before = t.sequence_from(v)
