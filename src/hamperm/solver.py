@@ -34,20 +34,23 @@ host edges is one uniform ordered subset drawn with a single getrandbits
 (_sample).  Each candidate is a (key, vertices, DIFF) tuple scored from
 tour positions and the 3-4 arcs it creates; once test_cap candidates are
 scored the iteration draws and scores nothing more, and only the applied
-one becomes a Move.  The sorted neighbour lists are built once per solve.
-A move costs a few C-level list slices on the array Tour, a rotation the
-reversal of the shorter side of the tour, each plus O(1) host lookups and
-O(log |PSEUDO|) registry updates.  The inline reads of order and pos go
-through the tour's bit rev, as Tour's own do.
+one becomes a Move.  The search reads the host's own neighbour sets and
+builds no copy of them: a draw sorts just the pool it draws from, so no
+draw depends on the order a set iterates in.  A move costs a few C-level
+list slices on the array Tour, a rotation the reversal of the shorter
+side of the tour, each plus O(1) host lookups and O(log |PSEUDO|)
+registry updates.  The inline reads of order and pos go through the
+tour's bit rev, as Tour's own do.
 
 Degree-2 chains are reduced first: the search runs on contract(g).reduced,
 the host minus the edges no circuit can use, under the host's own labels,
 so a circuit found there is a host circuit as it stands; it is still
 re-verified on the original host.  Degree certificates (a vertex with
 fewer than 2 usable edges, or no usable in- or out-arc) come from that
-reduction; solve_graph and solve_digraph themselves check only n >= 3 and
-(strong) connectivity.  Everything is deterministic per (input, params,
-seed).
+reduction.  solve_graph and solve_digraph resolve the params first, so
+an invalid cap raises ValueError whatever the host, and then check only
+n >= 3 and (strong) connectivity themselves.  Everything is deterministic
+per (input, params, seed).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .contract import ContractError, contract
 from .graphs import AnyGraph, Digraph, Graph, is_connected, is_strongly_connected
@@ -131,16 +134,6 @@ class SolveReport:
 # --------------------------------------------------------------------------
 
 
-def _sorted_neighbors(h: AnyGraph) -> tuple[dict, dict]:
-    """(out-neighbours, in-neighbours) of every vertex as sorted lists; for
-    a graph both are the same lists."""
-    if h.directed:
-        out = {v: sorted(ws) for v, ws in h.out_adj.items()}
-        return out, {v: sorted(ws) for v, ws in h.in_adj.items()}
-    out = {v: sorted(ws) for v, ws in h.adj.items()}
-    return out, out
-
-
 def _cycle3(order, pos, rev, adj, a, b, c):
     """The candidate (key, (a, b, c), DIFF) of the 3-cycle (a b c), or None
     unless it is admissible (a, b, c clockwise) and passes the pseudo filter
@@ -198,14 +191,14 @@ def _candidates(
     t: Tour,
     a: int,
     adj: dict,
-    nbrs: tuple[dict, dict],
+    inn: dict,
     rng: random.Random,
     rp: ResolvedParams,
 ) -> list[tuple]:
     """Admissible, filter-passing candidates (key, verts, DIFF) anchored at
-    pseudo-arc vertex a, built from sampled host edges (adj maps a vertex
-    to its host out-neighbour set); of candidates with equal keys the first
-    is kept.
+    pseudo-arc vertex a, built from sampled host edges (adj and inn map a
+    vertex to its host out- and in-neighbour sets, both adj on a graph); of
+    candidates with equal keys the first is kept.
 
     Each pool of host edges yields an ordered sample of up to edge_cap
     (_sample).  The test_cap-th scored candidate ends the call: no later
@@ -214,7 +207,6 @@ def _candidates(
     candidate reads are skipped.
     """
     order, pos, rev = t.order, t.pos, t.rev
-    out_nbrs, in_nbrs = nbrs
     n = len(order)
     # the index offsets of a vertex's successor and predecessor in order
     fs, fp = (-1, 1 - n) if rev else (1 - n, -1)
@@ -223,16 +215,14 @@ def _candidates(
     tests = 0
     found: dict = {}
     # splice points b: the created arc (a, x) is a host arc by construction
-    xs = [x for x in out_nbrs[a] if x != ha and x != a]
     bs: list[int] = []
-    for x in _sample(rng, xs, k):
+    for x in _sample(rng, adj[a] - {ha, a}, k):
         b = order[pos[x] + fp]
         if b != a:
             bs.append(b)
     for b in bs:
         # second edge at b: 3-cycle (a b c) also creates host arc (b, y)
-        ys = [y for y in out_nbrs[b] if y != a and y != b]
-        for y in _sample(rng, ys, k):
+        for y in _sample(rng, adj[b] - {a, b}, k):
             c = order[pos[y] + fp]
             if c != a and c != b:
                 cand = _cycle3(order, pos, rev, adj, a, b, c)
@@ -242,8 +232,7 @@ def _candidates(
                 if tests == cap:
                     return list(found.values())
         # second edge into succ(a): 3-cycle (a b y) creates host arc (y, ha)
-        zs = [z for z in in_nbrs[ha] if z != a and z != b and z != ha]
-        for y in _sample(rng, zs, k):
+        for y in _sample(rng, inn[ha] - {a, b, ha}, k):
             cand = _cycle3(order, pos, rev, adj, a, b, y)
             if cand is not None:
                 found.setdefault(cand[0], cand)
@@ -254,8 +243,7 @@ def _candidates(
     if len(t.pseudo_keys) > 1 and bs:
         v2 = _draw_pseudo(t, adj, rng, a)
         s2 = order[pos[v2] + fs]
-        ws = [w for w in out_nbrs[v2] if w != s2 and w != v2]
-        for w in _sample(rng, ws, k):
+        for w in _sample(rng, adj[v2] - {s2, v2}, k):
             d = order[pos[w] + fp]
             for b in bs:
                 if b != v2 and d != a and d != b and d != v2:
@@ -268,17 +256,20 @@ def _candidates(
     return list(found.values())
 
 
-def _sample(rng: random.Random, pool: list[int], k: int) -> list[int]:
-    """A uniform ordered k-subset of pool, k = min(k, len(pool)).
+def _sample(rng: random.Random, pool: Iterable[int], k: int) -> list[int]:
+    """A uniform ordered k-subset of sorted(pool), k = min(k, m) for the m
+    items of pool.
 
-    One integer r < P = m(m-1)...(m-k+1) (m = len(pool)) is drawn with
-    getrandbits((P - 1).bit_length()) and redrawn while r >= P (fewer than
-    2 draws expected); its mixed-radix digits pick the swaps of a partial
-    Fisher-Yates shuffle on a copy of pool.  Digit tuples and ordered
-    k-subsets are in bijection, so every ordered k-subset has probability
-    1/P.
+    pool may be any iterable; the draw indexes its sorted copy, so the
+    sample does not depend on the order pool iterates in.  One integer
+    r < P = m(m-1)...(m-k+1) is drawn with getrandbits((P - 1).bit_length())
+    and redrawn while r >= P (fewer than 2 draws expected); its mixed-radix
+    digits pick the swaps of a partial Fisher-Yates shuffle on that copy.
+    Digit tuples and ordered k-subsets are in bijection, so every ordered
+    k-subset has probability 1/P.
     """
-    m = len(pool)
+    out = sorted(pool)
+    m = len(out)
     k = min(k, m)
     if not k:
         return []
@@ -287,7 +278,6 @@ def _sample(rng: random.Random, pool: list[int], k: int) -> list[int]:
     r = rng.getrandbits(bits)
     while r >= p:
         r = rng.getrandbits(bits)
-    out = list(pool)
     for i in range(k):
         r, j = divmod(r, m - i)
         j += i
@@ -324,7 +314,7 @@ def _draw_pseudo(
 
 
 def _pick_rotation(
-    t: Tour, adj: dict, nbrs: dict, rng: random.Random
+    t: Tour, adj: dict, rng: random.Random
 ) -> Optional[tuple[int, int]]:
     """A rotation (v, w) anchored at a pseudo-arc vertex v along an off-tour
     host edge [v, w]; such a rotation never increases |PSEUDO|.
@@ -333,7 +323,7 @@ def _pick_rotation(
     8 draws of _draw_pseudo keep the first that does, and a scan of the
     shuffled pseudo-arc vertices decides otherwise (None if none has one).
     w is uniform over v's off-tour host neighbours (adj holds the host's
-    neighbour sets, nbrs the same as sorted lists).
+    neighbour sets), one seeded pick from their sorted list.
     """
     if not t.pseudo_keys:
         return None
@@ -346,19 +336,18 @@ def _pick_rotation(
         yield from pseudos
 
     for v in tries():
-        near = (v, t.succ(v), t.pred(v))
-        ws = [w for w in nbrs[v] if w not in near]
+        ws = adj[v] - {v, t.succ(v), t.pred(v)}
         if ws:
-            return v, rng.choice(ws)
+            return v, rng.choice(sorted(ws))
     return None
 
 
 def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     n = h.n
     rng = random.Random(rp.seed)
-    nbrs = _sorted_neighbors(h)
     adj = h.out_adj if h.directed else h.adj
-    t = Tour(h, _start_order(h, nbrs, rng))
+    inn = h.in_adj if h.directed else adj
+    t = Tour(h, _start_order(adj, inn, rng))
     # inverses of the applied moves, the last on top: digraph mode pops them
     # to backtrack; graph mode keeps only the last, the one candidates are
     # filtered against
@@ -374,7 +363,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         if not t.pseudo_keys:
             break
         if h.directed and since_improve >= stall_limit:
-            t = Tour(h, _start_order(h, nbrs, rng))
+            t = Tour(h, _start_order(adj, inn, rng))
             undo.clear()
             best_pseudo = n + 1
             since_improve = 0
@@ -382,7 +371,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         rep.iterations += 1
         before = len(t.pseudo_keys)
         a = _draw_pseudo(t, adj, rng)
-        cands = _candidates(t, a, adj, nbrs, rng, rp)
+        cands = _candidates(t, a, adj, inn, rng, rp)
         if undo:
             recent = undo[-1].canonical_key()
             cands = [cand for cand in cands if cand[0] != recent]
@@ -402,7 +391,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
                 t.apply(undo.pop())
                 rep.backtracks += 1
         if not h.directed:
-            rot = _pick_rotation(t, adj, nbrs[0], rng)
+            rot = _pick_rotation(t, adj, rng)
             if rot is not None:
                 t.rotate(*rot)
             elif not cands:
@@ -428,26 +417,25 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     return rep
 
 
-def _start_order(
-    h: AnyGraph, nbrs: tuple[dict, dict], rng: random.Random
-) -> list[int]:
-    """A start tour that is a greedy randomized path cover of h, in O(n + m).
+def _start_order(adj: dict, inn: dict, rng: random.Random) -> list[int]:
+    """A start tour that is a greedy randomized path cover of the host on
+    1..n whose out- and in-neighbour sets are adj and inn (both adj on a
+    graph), in O(n + m).
 
     The tour is built as runs of host arcs.  A run steps from its last
     vertex v to an unvisited out-neighbour with the fewest unvisited
     out-neighbours left (Warnsdorff's rule), ties broken by one seeded pick
-    among them in the order of the sorted list nbrs[0][v].  When v has no
-    unvisited out-neighbour, the next run starts at the next unvisited
-    vertex of one seeded shuffle of 1..n; the shuffle's first vertex starts
-    the first run.  Visiting v lowers the count of each in-neighbour
-    (nbrs[1][v]).  The runs in turn are the tour, so its pseudo-arcs are at
-    most the jumps between runs and the closing arc.
+    from the sorted list of the tied vertices.  When v has no unvisited
+    out-neighbour, the next run starts at the next unvisited vertex of one
+    seeded shuffle of 1..n; the shuffle's first vertex starts the first
+    run.  Visiting v lowers the count of each in-neighbour (inn[v]).  The
+    runs in turn are the tour, so its pseudo-arcs are at most the jumps
+    between runs and the closing arc.
     """
-    out_nbrs, in_nbrs = nbrs
-    n = h.n
+    n = len(adj)
     jumps = list(range(1, n + 1))
     rng.shuffle(jumps)
-    left = [0] + [len(out_nbrs[v]) for v in range(1, n + 1)]
+    left = [0] + [len(adj[v]) for v in range(1, n + 1)]
     seen = bytearray(n + 1)
     order: list[int] = []
     for first in jumps:
@@ -455,15 +443,15 @@ def _start_order(
         while not seen[v]:
             seen[v] = 1
             order.append(v)
-            for u in in_nbrs[v]:
+            for u in inn[v]:
                 left[u] -= 1
-            free = [w for w in out_nbrs[v] if not seen[w]]
+            free = [w for w in adj[v] if not seen[w]]
             if not free:
                 break
             if len(free) > 1:
                 low = min([left[w] for w in free])
                 free = [w for w in free if left[w] == low]
-            v = free[0] if len(free) == 1 else rng.choice(free)
+            v = free[0] if len(free) == 1 else rng.choice(sorted(free))
     return order
 
 
@@ -471,7 +459,7 @@ def _start_order(
 # public entry points
 # --------------------------------------------------------------------------
 
-def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
+def _solve_common(g: AnyGraph, rp: ResolvedParams) -> SolveReport:
     try:
         cg = contract(g)
     except ContractError as exc:
@@ -485,7 +473,7 @@ def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
         return SolveReport(
             "infeasible-precondition", detail="forced cycle fails verification"
         )
-    rep = _solve_core(cg.reduced, p.resolve(g.n))
+    rep = _solve_core(cg.reduced, rp)
     if rep.outcome == "circuit" and not verify_circuit(g, rep.circuit):
         return SolveReport(
             "timeout",
@@ -498,7 +486,7 @@ def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
 def solve_graph(g: Graph, p: Optional[SolveParams] = None) -> SolveReport:
     if g.directed:
         raise TypeError("solve_graph expects an undirected Graph")
-    p = p or SolveParams()
+    rp = (p or SolveParams()).resolve(g.n)
     if g.n < 3:
         return SolveReport(
             "infeasible-precondition", detail="undirected circuits need n >= 3"
@@ -507,15 +495,15 @@ def solve_graph(g: Graph, p: Optional[SolveParams] = None) -> SolveReport:
         return SolveReport(
             "infeasible-precondition", detail="host is not connected"
         )
-    return _solve_common(g, p)
+    return _solve_common(g, rp)
 
 
 def solve_digraph(d: Digraph, p: Optional[SolveParams] = None) -> SolveReport:
     if not d.directed:
         raise TypeError("solve_digraph expects a Digraph")
-    p = p or SolveParams()
+    rp = (p or SolveParams()).resolve(d.n)
     if not is_strongly_connected(d):
         return SolveReport(
             "infeasible-precondition", detail="host is not strongly connected"
         )
-    return _solve_common(d, p)
+    return _solve_common(d, rp)

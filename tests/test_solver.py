@@ -281,6 +281,93 @@ def test_params_validation():
         SolveParams(edge_cap=0).resolve(10)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [SolveParams(budget=0), SolveParams(edge_cap=0), SolveParams(test_cap=-3)],
+    ids=["budget", "edge_cap", "test_cap"],
+)
+def test_invalid_params_raise_on_every_host(p):
+    # the params are resolved before any host check, so an invalid cap
+    # raises also where the search never runs: a forced circuit, a
+    # reduction certificate, a host that is not (strongly) connected, n < 3
+    hosts = [
+        (solve_graph, complete_graph(6), "circuit", ""),
+        (solve_graph, cycle_graph(5), "circuit", ""),
+        (
+            solve_graph,
+            Graph(4, [(1, 2), (2, 3), (3, 1), (3, 4)]),
+            "infeasible-precondition",
+            "contraction: vertex 4 has fewer than 2 usable edges",
+        ),
+        (
+            solve_graph,
+            Graph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]),
+            "infeasible-precondition",
+            "host is not connected",
+        ),
+        (
+            solve_graph,
+            Graph(2, [(1, 2)]),
+            "infeasible-precondition",
+            "undirected circuits need n >= 3",
+        ),
+        (
+            solve_digraph,
+            Digraph(5, [(v, v % 5 + 1) for v in range(1, 6)]),
+            "circuit",
+            "",
+        ),
+        (
+            solve_digraph,
+            Digraph(1),
+            "infeasible-precondition",
+            "contraction: vertex 1 has no usable in- or out-arc",
+        ),
+        (
+            solve_digraph,
+            Digraph(4, [(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)]),
+            "infeasible-precondition",
+            "host is not strongly connected",
+        ),
+    ]
+    for solve, g, outcome, detail in hosts:
+        # valid params reach the outcome this host is here for
+        rep = solve(g, SolveParams(seed=1))
+        assert (rep.outcome, rep.detail) == (outcome, detail), g
+        with pytest.raises(ValueError, match="caps must be >= 1"):
+            solve(g, p)
+
+
+def _refilled(g, rng):
+    """A host equal to g whose sets were filled in a shuffled edge order."""
+    pairs = sorted(g.arcs if g.directed else g.edges)
+    rng.shuffle(pairs)
+    return (Digraph if g.directed else Graph)(g.n, pairs)
+
+
+def _set_orders(g):
+    sets = (g.out_adj, g.in_adj) if g.directed else (g.adj,)
+    return [list(adj[v]) for adj in sets for v in range(1, g.n + 1)]
+
+
+@pytest.mark.parametrize(
+    "model,seed,deletes",
+    [("boll", 2, False), ("inout", 1, False), ("boll", 1, True), ("bolld", 1, True)],
+)
+def test_reports_do_not_depend_on_set_iteration_order(model, seed, deletes):
+    # the search reads the host's sets and sorts only what it draws from, so
+    # an equal host whose sets iterate in another order solves the same, also
+    # where contract deletes edges and the reduced host copies those sets
+    g = _model(model, 300, seed)
+    h = _refilled(g, random.Random(seed))
+    assert h == g and _set_orders(h) != _set_orders(g)
+    assert bool(contract(g).deleted) == deletes
+    solve = solve_digraph if g.directed else solve_graph
+    for caps in ({}, {"edge_cap": 2, "test_cap": 5}, {"budget": 40}):
+        p = SolveParams(seed=seed, **caps)
+        assert solve(h, p) == solve(g, p)
+
+
 def test_single_budget_knob():
     ln50 = math.ceil(math.log(50))
     assert SolveParams().resolve(50).budget == 4 * 50 * ln50
@@ -312,8 +399,8 @@ def test_pseudo_count_check_runs_under_optimize():
         "from hamperm import solver\n"
         "from hamperm.graphs import gen_boll_graph\n"
         "orig = solver._pick_rotation\n"
-        "def inflating(t, adj, nbrs, rng):\n"
-        "    rot = orig(t, adj, nbrs, rng)\n"
+        "def inflating(t, adj, rng):\n"
+        "    rot = orig(t, adj, rng)\n"
         "    t.pseudo_keys[:0] = range(-t.n - 5, 0)\n"
         "    return rot\n"
         "solver._pick_rotation = inflating\n"

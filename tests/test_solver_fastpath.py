@@ -34,7 +34,6 @@ from hamperm.solver import (
     _pick_rotation,
     _potdt,
     _sample,
-    _sorted_neighbors,
     _start_order,
     solve_digraph,
     solve_graph,
@@ -50,6 +49,14 @@ def _host(model, n, seed):
     if model == "bolld":
         return gen_boll_digraph(n, seed)[0]
     return complete_graph(n)
+
+
+def _sets(h):
+    """The host's (out-neighbour, in-neighbour) sets, as the solver reads
+    them: both are adj on a graph."""
+    if h.directed:
+        return h.out_adj, h.in_adj
+    return h.adj, h.adj
 
 
 def _expected(t, m):
@@ -169,6 +176,10 @@ def test_sample_is_a_bijection_onto_ordered_subsets(m, k):
         got = _sample(rng, pool, k)
         assert rng.widths == ([width] if kk else [])
         assert pool == [10 * v + 3 for v in range(m)]  # the pool is not shuffled
+        # the draw indexes the sorted pool, so neither the pool's order nor
+        # its type changes the sample
+        assert _sample(_ScriptedBits([r]), pool[::-1], k) == got
+        assert _sample(_ScriptedBits([r]), set(pool), k) == got
         seen.append(tuple(got))
     assert sorted(seen) == sorted(itertools.permutations(pool, kk))
 
@@ -322,7 +333,6 @@ def test_pick_rotation_is_uniform_over_eligible_vertices():
     chords = [(7, 30), (20, 50), (20, 10), (45, 12)]
     t = _path_tour(60, pseudo, chords)
     offtour = {7: [30], 20: [10, 50], 45: [12]}
-    nbrs = {v: sorted(ws) for v, ws in t.host.adj.items()}
     law = {
         (v, w): 1 / (len(offtour) * len(ws)) for v, ws in offtour.items() for w in ws
     }
@@ -330,7 +340,7 @@ def test_pick_rotation_is_uniform_over_eligible_vertices():
     fallback = 0
     for seed in range(TRIALS):
         rng = _CountingRandom(seed)
-        rot = _pick_rotation(t, t.host.adj, nbrs, rng)
+        rot = _pick_rotation(t, t.host.adj, rng)
         observed[rot] = observed.get(rot, 0) + 1
         fallback += rng.shuffles
     assert set(observed) <= set(law)
@@ -342,9 +352,8 @@ def test_pick_rotation_is_uniform_over_eligible_vertices():
 
 def test_pick_rotation_without_eligible_vertex():
     t = _path_tour(12, {3, 8})
-    nbrs = {v: sorted(ws) for v, ws in t.host.adj.items()}
     for seed in range(50):
-        assert _pick_rotation(t, t.host.adj, nbrs, random.Random(seed)) is None
+        assert _pick_rotation(t, t.host.adj, random.Random(seed)) is None
 
 
 # --------------------------------------------------------------------------
@@ -388,9 +397,9 @@ def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
 
         return wrapper
 
-    def candidates(t, a, adj, nbrs, rng, rp):
+    def candidates(t, a, adj, inn, rng, rp):
         call.update(cycle3=0, potdt=0, cap=rp.test_cap, rng=rng, state=None)
-        out = real(t, a, adj, nbrs, rng, rp)
+        out = real(t, a, adj, inn, rng, rp)
         scored = call["cycle3"] + call["potdt"]
         assert scored <= rp.test_cap
         if scored == rp.test_cap:
@@ -408,7 +417,7 @@ def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
     monkeypatch.setattr(
         solver,
         "_start_order",
-        lambda h, nbrs, rng: rng.sample(range(1, h.n + 1), h.n),
+        lambda adj, inn, rng: rng.sample(range(1, len(adj) + 1), len(adj)),
     )
     monkeypatch.setattr(solver, "_cycle3", counted("cycle3", solver._cycle3))
     monkeypatch.setattr(solver, "_potdt", counted("potdt", solver._potdt))
@@ -441,21 +450,21 @@ START_CASES = [
 )
 def test_start_order_is_a_warnsdorff_path_cover(model, n, seed):
     h = gen_in_out(n, 2, 2, seed) if model == "inout" else _host(model, n, seed)
-    nbrs = _sorted_neighbors(h)
-    order = _start_order(h, nbrs, random.Random(seed))
+    out, inn = _sets(h)
+    order = _start_order(out, inn, random.Random(seed))
     assert sorted(order) == list(range(1, n + 1))
     seen = set()
     jumps = 0
     for v, nxt in zip(order, order[1:]):
         seen.add(v)
-        free = [w for w in nbrs[0][v] if w not in seen]
+        free = [w for w in out[v] if w not in seen]
         if not free:
             # a run ends only where it cannot go on
             jumps += 1
             continue
         # inside a run every step is a host arc to an unvisited
         # out-neighbour with the fewest unvisited out-neighbours left
-        left = {w: sum(x not in seen for x in nbrs[0][w]) for w in free}
+        left = {w: sum(x not in seen for x in out[w]) for w in free}
         assert nxt in left and left[nxt] == min(left.values())
     t = Tour(h, order)
     assert len(t.pseudo_keys) <= jumps + 1
@@ -468,18 +477,16 @@ def test_start_order_follows_a_hidden_cycle(n, seed):
     ring = list(zip(label, label[1:] + label[:1]))
     for h in (Graph(n, ring), Digraph(n, ring)):
         for s in range(5):
-            t = Tour(h, _start_order(h, _sorted_neighbors(h), random.Random(s)))
+            t = Tour(h, _start_order(*_sets(h), random.Random(s)))
             assert len(t.pseudo_keys) <= 1
 
 
 def test_start_order_is_seeded():
     for h in (gen_boll_graph(300, 1)[0], gen_in_out(300, 2, 2, 1)):
-        nbrs = _sorted_neighbors(h)
-        runs = [_start_order(h, nbrs, random.Random(s)) for s in (7, 7, 8)]
+        runs = [_start_order(*_sets(h), random.Random(s)) for s in (7, 7, 8)]
         assert runs[0] == runs[1]
         assert runs[0] != runs[2]
     # on a complete host every step is a tie, broken by the seeded pick
     k = complete_graph(12)
-    nbrs = _sorted_neighbors(k)
-    seconds = {_start_order(k, nbrs, random.Random(s))[1] for s in range(40)}
+    seconds = {_start_order(*_sets(k), random.Random(s))[1] for s in range(40)}
     assert len(seconds) > 2
