@@ -1,7 +1,7 @@
 """Randomized Hamilton-circuit search for graphs and digraphs.
 
-The solver keeps a pseudo-Hamilton tour of the host and repeatedly tries to
-convert pseudo-arcs (tour arcs absent from the host) into host arcs.  The
+The solver keeps a pseudo-Hamilton tour of the host and step by step turns
+pseudo-arcs (tour arcs absent from the host) into host arcs.  The
 search may start from any n-cycle; it starts from a greedy randomized path
 cover (_start_order): runs of host arcs, each extended to the unvisited
 out-neighbour with the fewest unvisited out-neighbours left (Warnsdorff's
@@ -23,24 +23,23 @@ pseudo-arcs instead of about n.  Each iteration then:
     * graph mode ends every iteration with one pseudo-anchored rotation
       (also monotone in |PSEUDO|).
 
-An iteration's Python-level work is bounded by the sampled candidates.
-A vertex v is a pseudo-arc vertex when its tour successor is not in its
-host neighbour set, a test on the tour's order/pos lists; the tour's
-registry itself holds pseudo-arc keys in a sorted list, so its size is
-|PSEUDO|.  Pseudo-arc vertices (the anchor, the POTDT partner, the
-rotation's pivot) are drawn by that test, and when 8 uniform draws miss, by
-one uniform index into the key list, decoding that one key.  Each sample of
-host edges is one uniform ordered subset drawn with a single getrandbits
-(_sample).  Each candidate is a (key, vertices, DIFF) tuple scored from
-tour positions and the 3-4 arcs it creates; once test_cap candidates are
-scored the iteration draws and scores nothing more, and only the applied
-one becomes a Move.  The search reads the host's own neighbour sets and
-builds no copy of them: a draw sorts just the pool it draws from, so no
-draw depends on the order a set iterates in.  A move costs a few C-level
-list slices on the array Tour, a rotation the reversal of the shorter
-side of the tour, each plus O(1) host lookups and O(log |PSEUDO|)
-registry updates.  The inline reads of order and pos go through the
-tour's bit rev, as Tour's own do.
+An iteration's Python-level work is bounded by the sampled candidates.  A
+vertex v is a pseudo-arc vertex when its tour successor is not in its host
+neighbour set, a test on the tour's order/pos lists; the tour's registry
+itself holds pseudo-arc keys in a sorted list, so its size is |PSEUDO|.
+Pseudo-arc vertices (the anchor, the POTDT partner, the rotation's pivot)
+are drawn as uniform indices into the key list, decoding only the keys
+drawn.  Each sample of host edges is one uniform ordered subset drawn with
+a single getrandbits (_sample).  Each candidate is a (key, vertices, DIFF)
+tuple scored from tour positions and the 3-4 arcs it creates; once test_cap
+candidates are scored the iteration draws and scores nothing more, and only
+the applied one becomes a Move.  The search reads the host's own neighbour
+sets and builds no copy of them: a draw sorts just the pool it draws from,
+so no draw depends on the order a set iterates in.  A move costs a few
+C-level list slices on the array Tour, a rotation the reversal of the
+shorter side of the tour, each plus O(1) host lookups and O(log |PSEUDO|)
+registry updates.  The inline reads of order and pos go through the tour's
+bit rev, as Tour's own do.
 
 Degree-2 chains are reduced first: the search runs on contract(g).reduced,
 the host minus the edges no circuit can use, under the host's own labels,
@@ -241,7 +240,7 @@ def _candidates(
                 return list(found.values())
     # POTDTs seeded from a second pseudo-arc vertex
     if len(t.pseudo_keys) > 1 and bs:
-        v2 = _draw_pseudo(t, adj, rng, a)
+        v2 = _draw_pseudo(t, rng, a)
         s2 = order[pos[v2] + fs]
         for w in _sample(rng, adj[v2] - {s2, v2}, k):
             d = order[pos[w] + fp]
@@ -286,27 +285,12 @@ def _sample(rng: random.Random, pool: Iterable[int], k: int) -> list[int]:
     return out
 
 
-def _draw_pseudo(
-    t: Tour, adj: dict, rng: random.Random, exclude: int = 0
-) -> int:
-    """A pseudo-arc vertex other than exclude, uniformly at random (adj
-    maps a vertex to its host out-neighbour set).
-
-    Up to 8 uniform draws over all n vertices, keeping the first other than
-    exclude whose tour successor is not a host neighbour; if none is, one
+def _draw_pseudo(t: Tour, rng: random.Random, exclude: int = 0) -> int:
+    """A pseudo-arc vertex other than exclude, uniformly at random: one
     uniform index into the tour's sorted pseudo-arc keys that steps over
-    exclude's own key, decoded into its arc's initial vertex.  Each
-    pseudo-arc has one initial vertex, so each step is uniform over the
-    same set, and so is the mixture.  Raises ValueError when no such
-    vertex exists.
+    exclude's own key, decoded into its arc's initial vertex (each
+    pseudo-arc has one).  Raises ValueError when no such vertex exists.
     """
-    order, pos = t.order, t.pos
-    n = len(order)
-    fs = -1 if t.rev else 1 - n
-    for _ in range(8):
-        v = rng.randrange(n) + 1
-        if order[pos[v] + fs] not in adj[v] and v != exclude:
-            return v
     size = len(t.pseudo_keys)
     skip = t.pseudo_index(exclude) if exclude else size
     i = rng.randrange(size - (skip < size))
@@ -319,23 +303,18 @@ def _pick_rotation(
     """A rotation (v, w) anchored at a pseudo-arc vertex v along an off-tour
     host edge [v, w]; such a rotation never increases |PSEUDO|.
 
-    v is uniform over the pseudo-arc vertices that have such an edge: up to
-    8 draws of _draw_pseudo keep the first that does, and a scan of the
-    shuffled pseudo-arc vertices decides otherwise (None if none has one).
-    w is uniform over v's off-tour host neighbours (adj holds the host's
-    neighbour sets), one seeded pick from their sorted list.
+    v is the first vertex with such an edge in a seeded Fisher-Yates order
+    of the pseudo-arc keys, decoded one at a time, so v is uniform over the
+    vertices that have one (None if none has).  w is uniform over v's
+    off-tour host neighbours (adj holds the host's neighbour sets), one
+    seeded pick from their sorted list.
     """
-    if not t.pseudo_keys:
-        return None
-
-    def tries():
-        for _ in range(8):
-            yield _draw_pseudo(t, adj, rng)
-        pseudos = sorted(t.pseudo_vertices())
-        rng.shuffle(pseudos)
-        yield from pseudos
-
-    for v in tries():
+    size = len(t.pseudo_keys)
+    perm = list(range(size))
+    for i in range(size):
+        j = rng.randrange(i, size)
+        perm[i], perm[j] = perm[j], perm[i]
+        v = t.pseudo_vertex(perm[i])
         ws = adj[v] - {v, t.succ(v), t.pred(v)}
         if ws:
             return v, rng.choice(sorted(ws))
@@ -370,7 +349,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
             continue
         rep.iterations += 1
         before = len(t.pseudo_keys)
-        a = _draw_pseudo(t, adj, rng)
+        a = _draw_pseudo(t, rng)
         cands = _candidates(t, a, adj, inn, rng, rp)
         if undo:
             recent = undo[-1].canonical_key()

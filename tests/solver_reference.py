@@ -13,12 +13,13 @@ module.
 The departures from the earlier code are in how it draws, so the
 reference follows the solver's draw order:
 
-    * the anchor, the POTDT partner and the rotation pick use _draw_pseudo,
-      whose 8 membership draws read only t.pseudo and n; its fallback
-      builds the sorted pseudo-arc key list from t.pseudo with the
-      solver's key encoding (unordered min*(n+1) + max on an undirected
-      host with n >= 3, ordered u*(n+1) + v otherwise) and draws one index
-      into it, as hamperm.solver._draw_pseudo does with the tour's own list;
+    * pseudo-arc vertices are drawn from _pseudo_keys, the sorted
+      pseudo-arc key list built from t.pseudo with the solver's key
+      encoding (unordered min*(n+1) + max on an undirected host with
+      n >= 3, ordered u*(n+1) + v otherwise): the anchor and the POTDT
+      partner by one index into it (_draw_pseudo), the rotation pick by a
+      seeded Fisher-Yates order of it, decoded one key at a time, as
+      hamperm.solver does with the tour's own list;
     * edge samples use _sample, a verbatim copy of hamperm.solver._sample;
     * _candidates stops drawing once test_cap moves have been tested;
     * the start tour and the digraph restart come from _start_order, a
@@ -304,31 +305,33 @@ def _host_neighbors(h: AnyGraph, v: int, incoming: bool = False) -> list[int]:
     return sorted(h.adj[v])
 
 
-def _draw_pseudo(t: Tour, rng: random.Random, exclude: int = 0) -> int:
-    """A pseudo-arc vertex other than exclude, uniformly at random.
-
-    Up to 8 uniform draws over all n vertices, keeping the first that is a
-    pseudo-arc vertex other than exclude; if none is, an index into the
-    sorted remaining pseudo-arc vertices.  Each step is uniform over the
-    same set, so the mixture is too.  At least one such vertex must exist.
-    """
-    pseudo = t.pseudo
-    n = len(t.order)
-    for _ in range(8):
-        v = rng.randrange(n) + 1
-        if v in pseudo and v != exclude:
-            return v
-    base = n + 1
-    unordered = not t.host.directed and n >= 3
+def _pseudo_keys(t: Tour, exclude: int = 0) -> list[int]:
+    """The sorted pseudo-arc keys of t other than exclude's, in the solver's
+    key encoding."""
+    base = len(t.order) + 1
+    unordered = not t.host.directed and len(t.order) >= 3
 
     def key(u: int) -> int:
         w = t.succ(u)
         return min(u, w) * base + max(u, w) if unordered else u * base + w
 
-    drop = key(exclude) if exclude in pseudo else None
-    others = sorted(key(u) for u in pseudo if key(u) != drop)
-    u, w = divmod(others[rng.randrange(len(others))], base)
+    drop = key(exclude) if exclude in t.pseudo else None
+    return sorted(key(u) for u in t.pseudo if key(u) != drop)
+
+
+def _decode(t: Tour, k: int) -> int:
+    """The initial vertex of the pseudo-arc keyed k."""
+    u, w = divmod(k, len(t.order) + 1)
+    unordered = not t.host.directed and len(t.order) >= 3
     return w if unordered and t.succ(u) != w else u
+
+
+def _draw_pseudo(t: Tour, rng: random.Random, exclude: int = 0) -> int:
+    """A pseudo-arc vertex other than exclude, uniformly at random: one
+    index into the sorted remaining pseudo-arc keys.  At least one such
+    vertex must exist."""
+    others = _pseudo_keys(t, exclude)
+    return _decode(t, others[rng.randrange(len(others))])
 
 
 def _sample(rng: random.Random, pool: list[int], k: int) -> list[int]:
@@ -431,20 +434,11 @@ def _pick_rotation(
 ) -> Optional[tuple[int, int]]:
     """A rotation (v, w) anchored at a pseudo-arc vertex v along an off-tour
     host edge [v, w]; such a rotation never increases |PSEUDO|."""
-    if not t.pseudo:
-        return None
-    for _ in range(8):
-        v = _draw_pseudo(t, rng)
-        ws = [
-            w
-            for w in _host_neighbors(h, v)
-            if w not in (v, t.succ(v), t.pred(v))
-        ]
-        if ws:
-            return v, rng.choice(ws)
-    pseudos = sorted(t.pseudo_vertices())
-    rng.shuffle(pseudos)
-    for v in pseudos:
+    keys = _pseudo_keys(t)
+    for i in range(len(keys)):
+        j = rng.randrange(i, len(keys))
+        keys[i], keys[j] = keys[j], keys[i]
+        v = _decode(t, keys[i])
         ws = [
             w
             for w in _host_neighbors(h, v)

@@ -211,16 +211,15 @@ class _ScriptedRange:
 
 
 class _CountingRandom(random.Random):
-    """random.Random that counts shuffles (one in _pick_rotation means its
-    membership draws all missed)."""
+    """random.Random that counts its randrange calls."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.shuffles = 0
+        self.draws = 0
 
-    def shuffle(self, x):
-        self.shuffles += 1
-        return super().shuffle(x)
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
 
 
 def _assert_uniform(counts, support, trials):
@@ -229,11 +228,6 @@ def _assert_uniform(counts, support, trials):
     sd = math.sqrt(trials * p * (1 - p))
     for v in support:
         assert abs(counts.get(v, 0) - trials * p) <= 5 * sd, (v, counts)
-
-
-def _assert_binomial(count, trials, p):
-    sd = math.sqrt(trials * p * (1 - p))
-    assert abs(count - trials * p) <= 5 * sd, (count, trials * p)
 
 
 def _path_tour(n, pseudo, chords=()):
@@ -253,39 +247,28 @@ def _path_tour(n, pseudo, chords=()):
 @pytest.mark.parametrize(
     "pseudo,exclude",
     [
-        (range(1, 61, 3), 0),  # 20 of 60: nearly always a rejection draw
-        (range(1, 61, 3), 31),
-        ((5, 17, 40, 52), 17),  # 4 of 60: both paths often
-        ((44,), 0),  # one of 60: mostly the sorted fallback
+        (range(1, 61, 3), 0),  # 20 of 60, no key to step over
+        (range(1, 61, 3), 31),  # ... stepping over the key of 31
+        ((5, 17, 40, 52), 17),
+        ((44,), 0),
     ],
 )
 def test_draw_pseudo_is_uniform_on_both_paths(pseudo, exclude):
+    # both paths of the index: with exclude 0 it is taken as drawn, with a
+    # pseudo-arc vertex excluded it steps over that vertex's key
     t = _path_tour(60, set(pseudo))
-    # only the fallback decodes a key: count its calls on this tour
-    decode, decoded = t.pseudo_vertex, []
-    t.pseudo_vertex = lambda i: decoded.append(i) or decode(i)
     support = sorted(set(pseudo) - {exclude})
-    by_path = {"rejection": {}, "fallback": {}}
+    counts = {}
     for seed in range(TRIALS):
-        before = len(decoded)
-        v = _draw_pseudo(t, t.host.adj, random.Random(seed), exclude)
-        path = by_path["fallback" if len(decoded) > before else "rejection"]
-        path[v] = path.get(v, 0) + 1
-    for counts in by_path.values():
-        _assert_uniform(counts, support, sum(counts.values()))
-    total = {v: sum(c.get(v, 0) for c in by_path.values()) for v in support}
-    _assert_uniform(total, support, TRIALS)
-    # each of the 8 uniform draws over 60 vertices misses the support with
-    # probability 1 - k/60
-    _assert_binomial(
-        sum(by_path["fallback"].values()), TRIALS, (1 - len(support) / 60) ** 8
-    )
+        v = _draw_pseudo(t, random.Random(seed), exclude)
+        counts[v] = counts.get(v, 0) + 1
+    _assert_uniform(counts, support, TRIALS)
 
 
 def test_draw_pseudo_with_one_candidate_left():
     t = _path_tour(60, {9, 33})
     for seed in range(200):
-        assert _draw_pseudo(t, t.host.adj, random.Random(seed), 33) == 9
+        assert _draw_pseudo(t, random.Random(seed), 33) == 9
 
 
 def test_draw_pseudo_without_a_candidate_raises():
@@ -293,14 +276,14 @@ def test_draw_pseudo_without_a_candidate_raises():
     t = _path_tour(60, {44})
     for seed in range(20):
         with pytest.raises(ValueError):
-            _draw_pseudo(t, t.host.adj, random.Random(seed), 44)
+            _draw_pseudo(t, random.Random(seed), 44)
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_draw_pseudo_fallback_decodes_the_drawn_key(directed):
-    # every index of the fallback maps to a distinct pseudo-arc vertex other
-    # than exclude, on tours moved away from their start so that unordered
-    # keys have their initial vertex on either side
+    # every index into the pseudo-arc keys maps to a distinct pseudo-arc
+    # vertex other than exclude, on tours moved away from their start so
+    # that unordered keys have their initial vertex on either side
     rng = random.Random(7)
     for trial in range(30):
         n = rng.randint(5, 40)
@@ -308,26 +291,23 @@ def test_draw_pseudo_fallback_decodes_the_drawn_key(directed):
         order = list(range(1, n + 1))
         rng.shuffle(order)
         t = Tour(h, order)
-        adj = h.out_adj if directed else h.adj
         pseudo = t.pseudo_vertices()
         for exclude in [0] + sorted(pseudo):
             others = pseudo - {exclude}
             if not others:
                 continue
             got = set()
-            miss = next(v for v in range(1, n + 1) if v not in others)
             for i in range(len(others)):
-                # 8 draws of a vertex that is excluded or not pseudo, then i
-                stub = _ScriptedRange([miss - 1] * 8 + [i])
-                got.add(_draw_pseudo(t, adj, stub, exclude))
-                assert stub.ranges == [n] * 8 + [len(others)] and not stub.values
+                stub = _ScriptedRange([i])
+                got.add(_draw_pseudo(t, stub, exclude))
+                assert stub.ranges == [len(others)] and not stub.values
             assert got == others
 
 
 def test_pick_rotation_is_uniform_over_eligible_vertices():
     # 30 pseudo-arc vertices of 60; only 7, 20 and 45 have an off-tour host
-    # edge (20 has two), so the 8 membership draws all miss with
-    # probability 0.9^8 (about 43%) and the shuffled scan decides those
+    # edge (20 has two), so v is uniform over those three and w over v's
+    # off-tour neighbours
     pseudo = set(range(1, 61, 2)) | {20}
     pseudo.discard(21)
     chords = [(7, 30), (20, 50), (20, 10), (45, 12)]
@@ -337,17 +317,20 @@ def test_pick_rotation_is_uniform_over_eligible_vertices():
         (v, w): 1 / (len(offtour) * len(ws)) for v, ws in offtour.items() for w in ws
     }
     observed = {}
-    fallback = 0
     for seed in range(TRIALS):
-        rng = _CountingRandom(seed)
-        rot = _pick_rotation(t, t.host.adj, rng)
+        rot = _pick_rotation(t, t.host.adj, random.Random(seed))
         observed[rot] = observed.get(rot, 0) + 1
-        fallback += rng.shuffles
     assert set(observed) <= set(law)
     for rot, p in law.items():
         sd = math.sqrt(TRIALS * p * (1 - p))
         assert abs(observed.get(rot, 0) - TRIALS * p) <= 5 * sd, (rot, observed)
-    _assert_binomial(fallback, TRIALS, 0.9**8)
+    # without the chords no vertex is eligible: every pseudo-arc vertex is
+    # drawn at most once before None
+    t = _path_tour(60, pseudo)
+    for seed in range(50):
+        rng = _CountingRandom(seed)
+        assert _pick_rotation(t, t.host.adj, rng) is None
+        assert rng.draws <= len(pseudo)
 
 
 def test_pick_rotation_without_eligible_vertex():
