@@ -72,8 +72,11 @@ def canonical_circuit(seq: Sequence[int], directed: bool) -> tuple[int, ...]:
 
 def verify_circuit(g: AnyGraph, seq: Sequence[int]) -> bool:
     """True iff seq is a Hamilton circuit of g (a permutation of 1..n whose
-    consecutive pairs, cyclically, are all edges/arcs of g)."""
+    consecutive pairs, cyclically, are all edges/arcs of g).  An undirected
+    circuit needs n >= 3: a single edge run twice is none."""
     if len(seq) != g.n or sorted(seq) != list(range(1, g.n + 1)):
+        return False
+    if not g.directed and g.n < 3:
         return False
     return all(g.has_arc(seq[i], seq[(i + 1) % g.n]) for i in range(g.n))
 

@@ -46,10 +46,10 @@ the host minus the edges no circuit can use, under the host's own labels,
 so a circuit found there is a host circuit as it stands; it is still
 re-verified on the original host.  Degree certificates (a vertex with
 fewer than 2 usable edges, or no usable in- or out-arc) come from that
-reduction.  solve_graph and solve_digraph resolve the params first, so
-an invalid cap raises ValueError whatever the host, and then check only
-n >= 3 and (strong) connectivity themselves.  Everything is deterministic
-per (input, params, seed).
+reduction.  solve_graph and solve_digraph check only n >= 3 and (strong)
+connectivity themselves.  The caps and the iteration budget depend on n
+alone, and on whether the search is thorough (_schedule).  Everything is
+deterministic per (input, params).
 """
 
 from __future__ import annotations
@@ -67,38 +67,20 @@ from .tour import Move, Tour
 
 @dataclass
 class SolveParams:
-    """Caps default to the natural-log schedule when left unset:
-    edge_cap ceil(ln n); test_cap 2*ceil(ln n)^2; an iteration budget of
-    4*n*ceil(ln n) (thorough: 12*n^3*ceil(ln n), which overrides budget)."""
+    """The solve's seed, and whether to search thoroughly: an iteration
+    budget of 12*n^3*ceil(ln n) instead of 4*n*ceil(ln n) (_schedule)."""
 
-    edge_cap: Optional[int] = None
-    test_cap: Optional[int] = None
-    budget: Optional[int] = None
     thorough: bool = False
     seed: int = 0
 
-    def resolve(self, n: int) -> "ResolvedParams":
-        ln = max(1, math.ceil(math.log(max(2, n))))
-        edge_cap = self.edge_cap if self.edge_cap is not None else ln
-        test_cap = self.test_cap if self.test_cap is not None else 2 * ln * ln
-        if self.thorough:
-            budget = 12 * n**3 * ln
-        elif self.budget is not None:
-            budget = self.budget
-        else:
-            budget = 4 * n * ln
-        for val in (edge_cap, test_cap, budget):
-            if val < 1:
-                raise ValueError("all caps must be >= 1")
-        return ResolvedParams(edge_cap, test_cap, budget, self.seed)
 
-
-@dataclass
-class ResolvedParams:
-    edge_cap: int
-    test_cap: int
-    budget: int
-    seed: int
+def _schedule(n: int, thorough: bool) -> tuple[int, int, int]:
+    """(edge_cap, test_cap, budget) of a search on n vertices: samples of
+    ceil(ln n) host edges, at most 2*ceil(ln n)^2 scored candidates per
+    iteration, and 4*n*ceil(ln n) iterations (12*n^3*ceil(ln n) when
+    thorough)."""
+    ln = math.ceil(math.log(max(2, n)))
+    return ln, 2 * ln * ln, (12 * n**3 if thorough else 4 * n) * ln
 
 
 @dataclass
@@ -192,25 +174,25 @@ def _candidates(
     adj: dict,
     inn: dict,
     rng: random.Random,
-    rp: ResolvedParams,
+    k: int,
+    cap: int,
 ) -> list[tuple]:
     """Admissible, filter-passing candidates (key, verts, DIFF) anchored at
     pseudo-arc vertex a, built from sampled host edges (adj and inn map a
     vertex to its host out- and in-neighbour sets, both adj on a graph); of
     candidates with equal keys the first is kept.
 
-    Each pool of host edges yields an ordered sample of up to edge_cap
-    (_sample).  The test_cap-th scored candidate ends the call: no later
-    pool is sampled and no POTDT partner is drawn.  Draws before the stop
-    give the same candidates as they would without it; only draws that no
-    candidate reads are skipped.
+    Each pool of host edges yields an ordered sample of up to k (_sample).
+    The cap-th scored candidate ends the call: no later pool is sampled and
+    no POTDT partner is drawn.  Draws before the stop give the same
+    candidates as they would without it; only draws that no candidate
+    reads are skipped.
     """
     order, pos, rev = t.order, t.pos, t.rev
     n = len(order)
     # the index offsets of a vertex's successor and predecessor in order
     fs, fp = (-1, 1 - n) if rev else (1 - n, -1)
     ha = order[pos[a] + fs]
-    k, cap = rp.edge_cap, rp.test_cap
     tests = 0
     found: dict = {}
     # splice points b: the created arc (a, x) is a host arc by construction
@@ -321,9 +303,10 @@ def _pick_rotation(
     return None
 
 
-def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
+def _solve_core(h: AnyGraph, p: SolveParams) -> SolveReport:
     n = h.n
-    rng = random.Random(rp.seed)
+    edge_cap, test_cap, budget = _schedule(n, p.thorough)
+    rng = random.Random(p.seed)
     adj = h.out_adj if h.directed else h.adj
     inn = h.in_adj if h.directed else adj
     t = Tour(h, _start_order(adj, inn, rng))
@@ -338,7 +321,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
     best_pseudo = n + 1
     since_improve = 0
     stall_limit = max(30, 2 * n)
-    while rep.iterations < rp.budget:
+    while rep.iterations < budget:
         if not t.pseudo_keys:
             break
         if h.directed and since_improve >= stall_limit:
@@ -350,7 +333,7 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         rep.iterations += 1
         before = len(t.pseudo_keys)
         a = _draw_pseudo(t, rng)
-        cands = _candidates(t, a, adj, inn, rng, rp)
+        cands = _candidates(t, a, adj, inn, rng, edge_cap, test_cap)
         if undo:
             recent = undo[-1].canonical_key()
             cands = [cand for cand in cands if cand[0] != recent]
@@ -438,7 +421,7 @@ def _start_order(adj: dict, inn: dict, rng: random.Random) -> list[int]:
 # public entry points
 # --------------------------------------------------------------------------
 
-def _solve_common(g: AnyGraph, rp: ResolvedParams) -> SolveReport:
+def _solve_common(g: AnyGraph, p: SolveParams) -> SolveReport:
     try:
         cg = contract(g)
     except ContractError as exc:
@@ -452,7 +435,7 @@ def _solve_common(g: AnyGraph, rp: ResolvedParams) -> SolveReport:
         return SolveReport(
             "infeasible-precondition", detail="forced cycle fails verification"
         )
-    rep = _solve_core(cg.reduced, rp)
+    rep = _solve_core(cg.reduced, p)
     if rep.outcome == "circuit" and not verify_circuit(g, rep.circuit):
         return SolveReport(
             "timeout",
@@ -465,7 +448,6 @@ def _solve_common(g: AnyGraph, rp: ResolvedParams) -> SolveReport:
 def solve_graph(g: Graph, p: Optional[SolveParams] = None) -> SolveReport:
     if g.directed:
         raise TypeError("solve_graph expects an undirected Graph")
-    rp = (p or SolveParams()).resolve(g.n)
     if g.n < 3:
         return SolveReport(
             "infeasible-precondition", detail="undirected circuits need n >= 3"
@@ -474,15 +456,14 @@ def solve_graph(g: Graph, p: Optional[SolveParams] = None) -> SolveReport:
         return SolveReport(
             "infeasible-precondition", detail="host is not connected"
         )
-    return _solve_common(g, rp)
+    return _solve_common(g, p or SolveParams())
 
 
 def solve_digraph(d: Digraph, p: Optional[SolveParams] = None) -> SolveReport:
     if not d.directed:
         raise TypeError("solve_digraph expects a Digraph")
-    rp = (p or SolveParams()).resolve(d.n)
     if not is_strongly_connected(d):
         return SolveReport(
             "infeasible-precondition", detail="host is not strongly connected"
         )
-    return _solve_common(d, rp)
+    return _solve_common(d, p or SolveParams())

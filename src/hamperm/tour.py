@@ -4,8 +4,8 @@ A Tour is a cyclic order (an n-cycle) over all vertices of a host graph or
 digraph.  Consecutive pairs that are not realized by host edges/arcs are
 pseudo-arcs.  The registry keeps one int key per pseudo-arc, unordered on an
 undirected host (n >= 3), as a sorted list updated incrementally;
-pseudo_vertices() decodes it into the pseudo-arcs' initial vertices, and
-pseudo_vertex(i) decodes the i-th key alone.
+pseudo_vertex(i) decodes the i-th key into its pseudo-arc's initial vertex,
+and pseudo_vertices() decodes every key through it.
 
 Moves are admissible permutations: 3-cycles (a b c) and products of two
 disjoint transpositions (a c)(b d) ("POTDT").  A move is admissible exactly
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 from .graphs import AnyGraph
@@ -221,16 +220,7 @@ class Tour:
 
     def pseudo_vertices(self) -> set[int]:
         """Initial vertices of the current pseudo-arcs (built on each call)."""
-        base = self._base
-        if not self._unordered:
-            return {k // base for k in self.pseudo_keys}
-        # the key's pair is {u, v} with u < v: u begins the arc iff v follows it
-        order, pos = self.order, self.pos
-        f = -1 if self.rev else 1 - len(order)
-        return {
-            u if order[pos[u] + f] == v else v
-            for u, v in map(divmod, self.pseudo_keys, repeat(base))
-        }
+        return {self.pseudo_vertex(i) for i in range(len(self.pseudo_keys))}
 
     def pseudo_arcs(self) -> set[tuple[int, int]]:
         return {(v, self.succ(v)) for v in self.pseudo_vertices()}

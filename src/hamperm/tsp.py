@@ -26,9 +26,10 @@ improving neighbour-list move.
 
 A tour is a bare order/pos array of tour.py, with no host, registry or
 orientation bit.  A 2-opt is one tour._reverse, which reverses the shorter
-of its two paths, so the list may be read either way; an Or-opt is three,
-and a kick is one tour._relink.  The tour returned is read from vertex 1
-in the list's direction.
+of its two paths, so the list may be read either way afterwards; an Or-opt
+(a segment exchange) and a kick (a double bridge) are each one
+tour._relink, which keeps the list's direction.  The tour returned is read
+from vertex 1 in the list's direction.
 
 Every decision compares sums of weights, so the search runs on the weights
 times their common denominator, as ints, and the running weight is kept in
@@ -173,18 +174,6 @@ def _nearest(wi: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def _swap_arcs(
-    order: list[int], pos: list[int], a: int, b: int, c: int, d: int
-) -> None:
-    """Replace the tour arcs a-b and c-d by a-c and b-d; b and d must both
-    follow, or both precede, a and c."""
-    i = pos[a] + 1
-    if order[i if i < len(order) else 0] == b:
-        _reverse(order, pos, pos[b], pos[c])
-    else:
-        _reverse(order, pos, pos[a], pos[d])
-
-
 def _improve(
     wi: list[list[int]],
     near: list[list[int]],
@@ -210,7 +199,12 @@ def _improve(
             d = order[(pos[c] + s) % n]
             delta = wac + wb[d] - wab - wi[c][d]
             if delta < 0:
-                _swap_arcs(order, pos, a, b, c, d)
+                # reverse the path b..c or, when s = -1, the rest of the
+                # cycle, a..d in the list: either gives the new tour
+                if s == 1:
+                    _reverse(order, pos, pos[b], pos[c])
+                else:
+                    _reverse(order, pos, pos[a], pos[d])
                 return "2-opt", delta, (a, b, c, d)
     for s in (1, -1):
         # Or-opt: o a..e q ... c d becomes o q ... c a..e d, where the run
@@ -229,9 +223,10 @@ def _improve(
                 we = wi[e]
                 delta = wo[q] + wac + we[d] - wao - we[q] - wc[d]
                 if delta < 0:
-                    _swap_arcs(order, pos, o, a, c, d)
-                    _swap_arcs(order, pos, o, c, q, e)
-                    _swap_arcs(order, pos, c, e, a, d)
+                    # cut after o, e and c in direction s and exchange the
+                    # chunks a..e and q..c
+                    cuts = sorted(pos[v] - (s < 0) for v in (o, e, c))
+                    _relink(order, pos, cuts)
                     return "or-opt", delta, (o, a, e, q, c, d)
                 if q == c:
                     break

@@ -50,6 +50,12 @@ def test_verify_circuit():
     assert not verify_circuit(g, [1, 3, 2, 4, 5])
     assert not verify_circuit(g, [1, 2, 3, 4])
     assert not verify_circuit(g, [1, 2, 3, 4, 4])
+    # a single edge is no circuit, as brute force and enumeration agree; a
+    # 2-cycle of arcs is one
+    single = Graph(2, [(1, 2)])
+    assert not verify_circuit(single, [1, 2])
+    assert brute_force_circuits(single) == enumerate_all(single) == []
+    assert verify_circuit(complete_digraph(2), [1, 2])
 
 
 def test_brute_force_counts():

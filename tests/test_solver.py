@@ -1,9 +1,9 @@
-import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,7 @@ from hamperm.solver import (
 )
 from hamperm.contract import contract
 from hamperm.oracle import verify_circuit as oracle_verify_circuit
+from solver_schedule import SCHEDULE, set_schedule
 
 
 def test_solve_complete_graph():
@@ -196,16 +197,17 @@ def _bipartite(left, right, k, seed):
     return g
 
 
-def test_graph_mode_memory_does_not_grow_with_budget():
+def test_graph_mode_memory_does_not_grow_with_budget(monkeypatch):
     # unequal parts: no circuit, and the reduction certifies nothing, so
     # every solve runs its whole budget; the undo state must not grow with
     # it (only pseudo_trajectory does, one entry per iteration)
     g = _bipartite(100, 101, 3, 1)
     peaks = {}
     for budget in (1000, 4000):
+        set_schedule(monkeypatch, budget=budget)
         tracemalloc.start()
         try:
-            rep = solve_graph(g, SolveParams(seed=1, budget=budget))
+            rep = solve_graph(g, SolveParams(seed=1))
             peaks[budget] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,25 +283,18 @@ def test_long_chains_solved_on_the_reduced_host(directed):
 
 
 def test_thorough_budget_expands_iterations():
-    p = SolveParams(thorough=True, seed=1).resolve(50)
-    q = SolveParams(seed=1).resolve(50)
-    assert p.budget > q.budget
+    # K_{3,4} has no Hamilton circuit, and the reduction certifies nothing,
+    # so a solve runs its whole budget: 4*7*2 iterations, 12*7^3*2 thorough
+    g = Graph(7, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6, 7)])
+    for thorough, budget in ((False, 56), (True, 8232)):
+        rep = solve_graph(g, SolveParams(thorough=thorough, seed=1))
+        assert (rep.outcome, rep.iterations) == ("timeout", budget)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SolveParams(edge_cap=0).resolve(10)
-
-
-@pytest.mark.parametrize(
-    "p",
-    [SolveParams(budget=0), SolveParams(edge_cap=0), SolveParams(test_cap=-3)],
-    ids=["budget", "edge_cap", "test_cap"],
-)
-def test_invalid_params_raise_on_every_host(p):
-    # the params are resolved before any host check, so an invalid cap
-    # raises also where the search never runs: a forced circuit, a
-    # reduction certificate, a host that is not (strongly) connected, n < 3
+def test_default_params_reach_every_host_outcome():
+    # with no params given, each host reaches the outcome and detail it is
+    # here for: a searched circuit, forced circuits, reduction certificates,
+    # hosts that are not (strongly) connected, n < 3
     hosts = [
         (solve_graph, complete_graph(6), "circuit", ""),
         (solve_graph, cycle_graph(5), "circuit", ""),
@@ -341,11 +336,8 @@ def test_invalid_params_raise_on_every_host(p):
         ),
     ]
     for solve, g, outcome, detail in hosts:
-        # valid params reach the outcome this host is here for
-        rep = solve(g, SolveParams(seed=1))
+        rep = solve(g)
         assert (rep.outcome, rep.detail) == (outcome, detail), g
-        with pytest.raises(ValueError, match="caps must be >= 1"):
-            solve(g, p)
 
 
 def _refilled(g, rng):
@@ -364,7 +356,9 @@ def _set_orders(g):
     "model,seed,deletes",
     [("boll", 2, False), ("inout", 1, False), ("boll", 1, True), ("bolld", 1, True)],
 )
-def test_reports_do_not_depend_on_set_iteration_order(model, seed, deletes):
+def test_reports_do_not_depend_on_set_iteration_order(
+    monkeypatch, model, seed, deletes
+):
     # the search reads the host's sets and sorts only what it draws from, so
     # an equal host whose sets iterate in another order solves the same, also
     # where contract deletes edges and the reduced host copies those sets
@@ -373,23 +367,26 @@ def test_reports_do_not_depend_on_set_iteration_order(model, seed, deletes):
     assert h == g and _set_orders(h) != _set_orders(g)
     assert bool(contract(g).deleted) == deletes
     solve = solve_digraph if g.directed else solve_graph
+    p = SolveParams(seed=seed)
     for caps in ({}, {"edge_cap": 2, "test_cap": 5}, {"budget": 40}):
-        p = SolveParams(seed=seed, **caps)
+        set_schedule(monkeypatch, **caps)
         assert solve(h, p) == solve(g, p)
 
 
-def test_single_budget_knob():
-    ln50 = math.ceil(math.log(50))
-    assert SolveParams().resolve(50).budget == 4 * 50 * ln50
-    assert SolveParams(budget=7).resolve(50).budget == 7
-    assert SolveParams(budget=7, thorough=True).resolve(50).budget == 12 * 50**3 * ln50
-    with pytest.raises(ValueError):
-        SolveParams(budget=0).resolve(10)
+def test_single_budget_knob(monkeypatch):
+    # a solve is set by its seed and the thorough flag alone; the caps and
+    # the budget follow from n
+    assert [f.name for f in fields(SolveParams)] == ["thorough", "seed"]
+    # ceil(ln 50) = 4: samples of 4, 2*4^2 tests, 4*50*4 iterations or,
+    # thorough, 12*50^3*4
+    assert SCHEDULE(50, False) == (4, 32, 800)
+    assert SCHEDULE(50, True) == (4, 32, 6_000_000)
     # the seed-1 solve's iteration count as the solver draws it; a budget of
     # 2 must stop it early
     g, _ = gen_boll_graph(200, 1)
     assert solve_graph(g, SolveParams(seed=1)).iterations == 13
-    rep = solve_graph(g, SolveParams(seed=1, budget=2))
+    set_schedule(monkeypatch, budget=2)
+    rep = solve_graph(g, SolveParams(seed=1))
     assert rep.outcome == "timeout" and rep.iterations == 2
 
 

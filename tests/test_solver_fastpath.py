@@ -39,6 +39,7 @@ from hamperm.solver import (
     solve_graph,
 )
 from hamperm.tour import Move, Tour
+from solver_schedule import set_schedule
 
 
 def _host(model, n, seed):
@@ -380,12 +381,12 @@ def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
 
         return wrapper
 
-    def candidates(t, a, adj, inn, rng, rp):
-        call.update(cycle3=0, potdt=0, cap=rp.test_cap, rng=rng, state=None)
-        out = real(t, a, adj, inn, rng, rp)
+    def candidates(t, a, adj, inn, rng, k, cap):
+        call.update(cycle3=0, potdt=0, cap=cap, rng=rng, state=None)
+        out = real(t, a, adj, inn, rng, k, cap)
         scored = call["cycle3"] + call["potdt"]
-        assert scored <= rp.test_cap
-        if scored == rp.test_cap:
+        assert scored <= cap
+        if scored == cap:
             # the cap-th score was the last thing that touched the rng
             assert rng.getstate() == call["state"]
             totals["capped"] += 1
@@ -405,8 +406,9 @@ def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
     monkeypatch.setattr(solver, "_cycle3", counted("cycle3", solver._cycle3))
     monkeypatch.setattr(solver, "_potdt", counted("potdt", solver._potdt))
     monkeypatch.setattr(solver, "_candidates", candidates)
+    set_schedule(monkeypatch, **caps)
     solve = solve_digraph if g.directed else solve_graph
-    rep = solve(g, SolveParams(seed=seed, **caps))
+    rep = solve(g, SolveParams(seed=seed))
     assert rep.iterations and totals["calls"] == rep.iterations, (rep, totals)
     # every case reaches the cap in some iteration; with the default caps
     # POTDTs are scored as well (a cap of 7 is spent on 3-cycles)

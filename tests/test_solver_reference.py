@@ -29,6 +29,7 @@ from hamperm.graphs import (
 )
 from hamperm.solver import SolveParams, solve_digraph, solve_graph
 from hamperm.tour import InadmissibleMove, Move, Tour
+from solver_schedule import set_schedule
 
 
 def _model(model, n, seed):
@@ -52,23 +53,28 @@ MODEL_CASES = [
 
 
 def _both(g, seed, **caps):
-    """(current report, reference report) for g with the given caps; a
-    budget goes to the reference as its first phase, the second set to 0.
+    """(current report, reference report) for g with the given caps: the
+    current solver takes them in place of its _schedule's, the reference
+    through its own SolveParams, a budget as its first phase with the
+    second set to 0.
 
     The reference takes a lone candidate that undoes the last move as an
     explicit backtrack step, which counts as neither a success nor a
     failure; the current loop filters it out, counts a failure and pops the
     same inverse.  Every other field must agree as it stands, so the
     reference's failures are mapped to iterations - successes."""
-    budget = caps.pop("budget", None)
-    new = SolveParams(seed=seed, budget=budget, **caps)
-    old = ref.SolveParams(seed=seed, **caps)
-    if budget is not None:
-        old.phase1_budget, old.phase2_budget = budget, 0
-    if g.directed:
-        got, want = solve_digraph(g, new), ref.solve_digraph(g, old)
-    else:
-        got, want = solve_graph(g, new), ref.solve_graph(g, old)
+    old = ref.SolveParams(seed=seed)
+    old.edge_cap, old.test_cap = caps.get("edge_cap"), caps.get("test_cap")
+    if "budget" in caps:
+        old.phase1_budget, old.phase2_budget = caps["budget"], 0
+    with pytest.MonkeyPatch.context() as mp:
+        set_schedule(mp, **caps)
+        if g.directed:
+            got = solve_digraph(g, SolveParams(seed=seed))
+            want = ref.solve_digraph(g, old)
+        else:
+            got = solve_graph(g, SolveParams(seed=seed))
+            want = ref.solve_graph(g, old)
     return got, replace(want, failures=want.iterations - want.successes)
 
 
