@@ -291,10 +291,19 @@ def test_thorough_budget_expands_iterations():
         assert (rep.outcome, rep.iterations) == ("timeout", budget)
 
 
-def test_default_params_reach_every_host_outcome():
-    # with no params given, each host reaches the outcome and detail it is
-    # here for: a searched circuit, forced circuits, reduction certificates,
-    # hosts that are not (strongly) connected, n < 3
+@pytest.mark.parametrize(
+    "knob",
+    [{"budget": 0}, {"edge_cap": 0}, {"test_cap": -3}],
+    ids=["budget", "edge_cap", "test_cap"],
+)
+def test_invalid_params_raise_on_every_host(knob):
+    # the caps and the budget are no settings: passing one raises rather
+    # than being ignored, and with no params given each host reaches the
+    # outcome and detail it is here for: a searched circuit, forced
+    # circuits, reduction certificates, hosts that are not (strongly)
+    # connected, n < 3
+    with pytest.raises(TypeError):
+        SolveParams(**knob)
     hosts = [
         (solve_graph, complete_graph(6), "circuit", ""),
         (solve_graph, cycle_graph(5), "circuit", ""),
