@@ -234,11 +234,8 @@ def cmd_oracle(args) -> int:
     try:
         if args.mode == "brute":
             circuits = oracle.brute_force_circuits(g)
-        elif args.mode == "enumerate":
-            circuits = oracle.enumerate_all(g)
         else:
-            print(f"error: unknown --mode {args.mode}", file=sys.stderr)
-            return 1
+            circuits = oracle.enumerate_all(g)
     except oracle.OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

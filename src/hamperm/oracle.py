@@ -17,7 +17,10 @@ and the exact optimum of a small weighted tour:
       parent's with the 6 or 8 changed arcs toggled, so a child already
       seen is never built; a new one is built from list slices of its
       parent: an admissible 3-cycle is a segment exchange, an interlaced
-      POTDT a double bridge.
+      POTDT a double bridge.  A move replaces at most 4 arcs, so a state
+      with more than 4 non-host arcs per level left can reach no circuit
+      and is neither built nor branched on; only states with no non-host
+      arc are verified as circuits.
     * held_karp - the least tour weight of a symmetric weight matrix by the
       Held-Karp bitmask dynamic program (n <= 13), in exact arithmetic.
 
@@ -385,15 +388,26 @@ def _branch(
     adj: dict[int, set[int]],
     bit: list[list[int]],
     seen: set[int],
+    nh: int,
+    cap: int,
 ) -> list[tuple[tuple[int, ...], int]]:
     """The children of one enumeration state whose arc-set keys are not in
-    seen, as (tour, key) pairs in discovery order: 3-cycles, then double
-    bridges.  Each new key is added to seen.
+    seen and miss the host in at most cap arcs, as (tour, key) pairs in
+    discovery order: 3-cycles, then double bridges.  Each kept key is added
+    to seen.  nh is the mask of the non-host arcs, so a key misses the host
+    in (key & nh).bit_count() arcs.
 
     A child's key is the parent's with the removed and created arcs toggled
     (3 and 3 for a 3-cycle, 4 and 4 for a double bridge).  Parent and child
     are both n-cycles, so an arc that is removed and created again toggles
-    twice and stays.  Only a child whose key is new is built.
+    twice and stays.  Only a child that is kept is built.
+
+    A child misses at least the non-host arcs of its parent that the move
+    does not remove, so the loops test partial keys too: a lead a is
+    skipped when the key without a's tour arc misses more than cap + 3 (a
+    move removes at most 3 more arcs), a chord is not recorded when the
+    key without its two removed arcs misses more than cap + 2, and no
+    3-cycle is tried from it above cap + 1.
     """
     n = len(order)
     dbl = order + order
@@ -405,21 +419,28 @@ def _branch(
     new = []
     chords = {}
     for pa, a in enumerate(order):
+        key_a = key ^ outb[a]
+        if (key_a & nh).bit_count() > cap + 3:
+            continue
         r = dbl[pa : pa + n]  # the tour read from a
         r1 = r[1]
         bit_a = bit[a]
-        key_a = key ^ outb[a]
         for x in nbrs[a]:
             qb = (pos[x] - 1 - pa) % n  # b = pred(x), as offset from a
             if not qb:
                 continue
-            pb = (pa + qb) % n
             b = r[qb]
-            bit_b = bit[b]
             key_ab = key_a ^ outb[b] ^ bit_a[x]
+            miss_ab = (key_ab & nh).bit_count()
+            if miss_ab > cap + 2:
+                continue
+            bit_b = bit[b]
+            pb = (pa + qb) % n
             # chord -> the parent's key with half a double bridge applied:
             # the arcs leaving a and b swapped for (a, x) and (b, succ(a))
             chords[(pa, pb) if pa < pb else (pb, pa)] = key_ab ^ bit_b[r1]
+            if miss_ab > cap + 1:
+                continue
             for y in nbrs[b]:
                 qc = (pos[y] - 1 - pa) % n  # c = pred(y)
                 # a, b, c clockwise; when c -> succ(a) is a host arc too,
@@ -430,7 +451,7 @@ def _branch(
                     c = r[qc]
                     if pa + qc < n or r1 not in adj[c]:
                         k = key_ab ^ outb[c] ^ bit_b[y] ^ bit[c][r1]
-                        if k not in seen:
+                        if (k & nh).bit_count() <= cap and k not in seen:
                             seen.add(k)
                             new.append(
                                 (r[:1] + r[qb + 1 : qc + 1] + r[1 : qb + 1] + r[qc + 1 :], k)
@@ -444,7 +465,7 @@ def _branch(
         for (l2, h2), half2 in chords[start2 : bisect_left(los, h1, start2)]:
             if h2 > h1:
                 k = key_1 ^ half2
-                if k not in seen:
+                if (k & nh).bit_count() <= cap and k not in seen:
                     seen.add(k)
                     new.append(
                         (
@@ -479,8 +500,17 @@ def enumerate_all(
     A state is keyed by its arc set (_arc_key), which is exactly its
     circuit up to rotation (and reflection, undirected), and a child's key
     is its parent's with the changed arcs toggled.  So "seen?" is decided
-    before a child is built: only new states are sliced, verified once,
-    canonicalized (if circuits) and branched on at the next level.
+    before a child is built.
+
+    A move removes 3 or 4 arcs, so a state missing the host in k arcs is
+    at least ceil(k/4) moves from any circuit.  A child at level d is kept
+    only if it misses at most 4 (depth_cap - d) arcs; every descendant of
+    a dropped state could be dropped too, so each kept state is first
+    found, as before, from a kept parent, and the kept states are exactly
+    the unbounded search's states within the bound, at the same levels and
+    in the same order.  Only kept states are sliced and branched on; a kept
+    state missing no host arc is a circuit candidate, verified and then
+    canonicalized.
     """
     n = g.n
     if n > ENUMERATE_CAP:
@@ -495,18 +525,24 @@ def enumerate_all(
     adj = g.out_adj if directed else g.adj
     nbrs = [()] + [tuple(adj[v]) for v in range(1, n + 1)]
     bit = _arc_bits(n, directed)
+    host = 0
+    for u in range(1, n + 1):
+        for v in adj[u]:
+            host |= bit[u][v]
+    nh = ~host
     start = tuple(range(1, n + 1))
     key = _arc_key(bit, start)
     seen = {key}
     results: set[tuple[int, ...]] = set()
-    if verify_circuit(g, start):
+    if not key & nh and verify_circuit(g, start):
         results.add(canonical_circuit(start, directed))
     frontier = [(start, key)]
-    for _depth in range(depth_cap):
+    for depth in range(depth_cap):
+        cap = 4 * (depth_cap - depth - 1)
         nxt: list[tuple[tuple[int, ...], int]] = []
         for order, key in frontier:
-            for child, k in _branch(order, key, nbrs, adj, bit, seen):
-                if verify_circuit(g, child):
+            for child, k in _branch(order, key, nbrs, adj, bit, seen, nh, cap):
+                if not k & nh and verify_circuit(g, child):
                     results.add(canonical_circuit(child, directed))
                 nxt.append((child, k))
         frontier = nxt

@@ -33,6 +33,16 @@ def petersen_graph():
     return g
 
 
+def prism_graph(k):
+    """C_k x K2: two k-cycles 1..k and k+1..2k joined by spokes i - k+i."""
+    g = Graph(2 * k)
+    for i in range(1, k + 1):
+        g.add_edge(i, i % k + 1)
+        g.add_edge(k + i, k + i % k + 1)
+        g.add_edge(i, k + i)
+    return g
+
+
 # --------------------------------------------------------------------------
 # canonicalization and brute force
 # --------------------------------------------------------------------------
@@ -64,6 +74,15 @@ def test_brute_force_counts():
     assert len(brute_force_circuits(cycle_graph(5))) == 1
     assert len(brute_force_circuits(complete_digraph(4))) == 6
     assert brute_force_circuits(petersen_graph()) == []
+    assert enumerate_all(petersen_graph()) == []
+
+
+def test_enumerate_prism_at_the_cap():
+    # n = 10 = ENUMERATE_CAP: the 5-prism has 5 Hamilton circuits
+    g = prism_graph(5)
+    circuits = enumerate_all(g)
+    assert circuits == brute_force_circuits(g)
+    assert len(circuits) == 5
 
 
 def test_brute_force_cap():

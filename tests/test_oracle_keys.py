@@ -8,6 +8,9 @@ creates.  Checked here on seeded random tours, n 3-10, graphs and digraphs:
     * the children one state branches to are exactly, up to rotation and
       reflection, those the verbatim old enumerator (tests/oracle_reference.py)
       builds through each move's mapping;
+    * with a non-host mask and a cap, _branch keeps exactly the unpruned
+      children whose keys are unseen and miss at most cap host arcs, in
+      the same order;
     * key equality is canonical_circuit equality.
 """
 
@@ -79,7 +82,8 @@ def test_toggled_child_keys_match_scratch_keys(directed):
         order = tuple(order)
         key = _arc_key(bit, order)
         seen = {key}
-        children = _branch(order, key, nbrs, adj, bit, seen)
+        # nh=0: every key misses 0 non-host arcs, so nothing is pruned
+        children = _branch(order, key, nbrs, adj, bit, seen, 0, 0)
         for child, k in children:
             assert sorted(child) == list(range(1, n + 1)), (trial, child)
             assert k == _arc_key(bit, child), (trial, order, child)
@@ -90,6 +94,45 @@ def test_toggled_child_keys_match_scratch_keys(directed):
         assert seen == {key} | {k for _child, k in children}
         branched += len(children)
     assert branched > 5000
+
+
+@pytest.mark.parametrize("directed", (False, True))
+def test_pruned_children_are_the_unpruned_within_the_cap(directed):
+    """_branch with the host's non-host mask and a cap keeps exactly the
+    unpruned children whose keys are unseen and miss at most cap host
+    arcs, with the same tours and keys in the same order."""
+    rng = random.Random(31 + directed)
+    kept = dropped = 0
+    for trial in range(360):
+        n = 3 + trial % 8
+        cap = (0, 4, 8)[trial // 8 % 3]
+        g = _random_host(rng, n, directed)
+        adj = g.out_adj if directed else g.adj
+        nbrs = [()] + [tuple(adj[v]) for v in range(1, n + 1)]
+        bit = _arc_bits(n, directed)
+        host = 0
+        for u in range(1, n + 1):
+            for v in adj[u]:
+                host |= bit[u][v]
+        nh = ~host
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        order = tuple(order)
+        key = _arc_key(bit, order)
+        unpruned = _branch(order, key, nbrs, adj, bit, {key}, 0, 0)
+        # some children already seen, as at a later enumeration level
+        seen = {key} | {k for _child, k in unpruned if rng.random() < 0.2}
+        want = [
+            (child, k) for child, k in unpruned
+            if k not in seen and (k & nh).bit_count() <= cap
+        ]
+        before = set(seen)
+        got = _branch(order, key, nbrs, adj, bit, seen, nh, cap)
+        assert got == want, (trial, order, cap)
+        assert seen == before | {k for _child, k in want}
+        kept += len(want)
+        dropped += len(unpruned) - len(want)
+    assert kept > 5000 and dropped > 5000, (kept, dropped)
 
 
 @pytest.mark.parametrize("directed", (False, True))

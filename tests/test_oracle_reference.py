@@ -6,10 +6,12 @@ brute_force_circuits as they were before: children rebuilt by walking the
 tour through each move's mapping, and a recursive brute force.  The current
 functions must return exactly the same lists.  enumerate_all is compared at
 every depth cap from 0 to 2 as well as in full, on its circuits and on the
-set of states it visits, so the level sets are pinned and not only the
-final circuit set.
+states it keeps: the reference's states, each with its level, that are
+within enumerate_all's bound of 4 non-host arcs per level left.  So the
+level sets are pinned and not only the final circuit set.
 """
 
+import math
 import random
 
 import pytest
@@ -82,29 +84,82 @@ def _enumeration_hosts():
 HOSTS = _enumeration_hosts()
 
 
-def _run_recording_states(module, g, depth_cap, monkeypatch):
-    """module.enumerate_all(g, depth_cap) and the canonical forms of the
-    states it visited: it calls verify_circuit once per newly seen state."""
-    states = []
-    verify = module.verify_circuit
+def _miss(g, state):
+    """How many arcs of the cyclic sequence state are not host arcs."""
+    return sum(
+        not g.has_arc(u, v) for u, v in zip(state, state[1:] + state[:1])
+    )
 
-    def recording(host, seq):
-        states.append(ref.canonical_circuit(seq, host.directed))
+
+def _reference_levels(g, depth_cap, monkeypatch):
+    """ref.enumerate_all(g, depth_cap) and the (level, canonical form) of
+    every state it visits.  It calls _splice_pairs once per frontier state
+    before building that state's children, and verify_circuit once per newly
+    seen state, so the last frontier state seen by _splice_pairs is the new
+    state's parent."""
+    directed = g.directed
+    level = {}
+    states = []
+    parent = [None]
+    splice, verify = ref._splice_pairs, ref.verify_circuit
+
+    def recording_splice(host, order, pos):
+        parent[0] = ref.canonical_circuit(order, directed)
+        return splice(host, order, pos)
+
+    def recording_verify(host, seq):
+        state = ref.canonical_circuit(seq, directed)
+        level[state] = 0 if parent[0] is None else level[parent[0]] + 1
+        states.append((level[state], state))
         return verify(host, seq)
 
     with monkeypatch.context() as m:
-        m.setattr(module, "verify_circuit", recording)
-        got = module.enumerate_all(g, depth_cap)
+        m.setattr(ref, "_splice_pairs", recording_splice)
+        m.setattr(ref, "verify_circuit", recording_verify)
+        got = ref.enumerate_all(g, depth_cap)
+    return got, sorted(states)
+
+
+def _kept_levels(g, depth_cap, monkeypatch):
+    """oracle.enumerate_all(g, depth_cap) and the (level, canonical form) of
+    the start and of every child _branch keeps."""
+    directed = g.directed
+    start = tuple(range(1, g.n + 1))
+    level = {canonical_circuit(start, directed): 0}
+    states = [(0, canonical_circuit(start, directed))]
+    branch = oracle._branch
+
+    def recording(order, *args):
+        children = branch(order, *args)
+        lv = level[canonical_circuit(order, directed)] + 1
+        for child, _k in children:
+            state = canonical_circuit(child, directed)
+            level[state] = lv
+            states.append((lv, state))
+        return children
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_branch", recording)
+        got = oracle.enumerate_all(g, depth_cap)
     return got, sorted(states)
 
 
 @pytest.mark.parametrize("depth_cap", DEPTH_CAPS)
 def test_enumerate_all_matches_reference(depth_cap, monkeypatch):
+    """The same circuits as the reference, and the kept states are exactly
+    the start and the reference's states, at the reference's levels, that
+    miss at most 4 host arcs per level left: the bound enumerate_all prunes
+    by."""
     for name, g in HOSTS:
-        got, states = _run_recording_states(oracle, g, depth_cap, monkeypatch)
-        want, want_states = _run_recording_states(ref, g, depth_cap, monkeypatch)
+        got, kept = _kept_levels(g, depth_cap, monkeypatch)
+        want, visited = _reference_levels(g, depth_cap, monkeypatch)
         assert got == want, (name, depth_cap)
-        assert states == want_states, (name, depth_cap)
+        cap = math.ceil(g.n / 2) if depth_cap is None else depth_cap
+        bounded = [
+            (lv, s) for lv, s in visited
+            if lv == 0 or _miss(g, s) <= 4 * (cap - lv)
+        ]
+        assert kept == bounded, (name, depth_cap)
         if depth_cap is None:
             assert got == brute_force_circuits(g), name
 
