@@ -111,13 +111,11 @@ def cmd_gen(args) -> int:
                 raise ValueError("--m is required for model mout")
             g = graphs.gen_m_out(args.n, args.m, seed)
             m_stop = g.m
-        elif model == "inout":
+        else:  # inout: --model admits only the four models
             if args.i is None or args.o is None:
                 raise ValueError("--i and --o are required for model inout")
             g = graphs.gen_in_out(args.n, args.i, args.o, seed)
             m_stop = g.m
-        else:
-            raise ValueError(f"unknown model {model}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,9 @@ and the exact optimum of a small weighted tour:
       POTDT a double bridge.  A move replaces at most 4 arcs, so a state
       with more than 4 non-host arcs per level left can reach no circuit
       and is neither built nor branched on; only states with no non-host
-      arc are verified as circuits.
+      arc are verified as circuits.  The last level keeps only such
+      states, so it tries just the moves whose points include the tail of
+      every non-host arc and whose created arcs are all host arcs.
     * held_karp - the least tour weight of a symmetric weight matrix by the
       Held-Karp bitmask dynamic program (n <= 13), in exact arithmetic.
 
@@ -37,6 +39,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .graphs import AnyGraph
@@ -395,7 +398,8 @@ def _branch(
     seen and miss the host in at most cap arcs, as (tour, key) pairs in
     discovery order: 3-cycles, then double bridges.  Each kept key is added
     to seen.  nh is the mask of the non-host arcs, so a key misses the host
-    in (key & nh).bit_count() arcs.
+    in (key & nh).bit_count() arcs.  enumerate_all calls it with cap > 0
+    only; at cap 0 it is the reference _close is tested against.
 
     A child's key is the parent's with the removed and created arcs toggled
     (3 and 3 for a 3-cycle, 4 and 4 for a double bridge).  Parent and child
@@ -480,6 +484,63 @@ def _branch(
     return new
 
 
+def _close(
+    order: tuple[int, ...],
+    key: int,
+    bit: list[list[int]],
+    seen: set[int],
+    nh: int,
+) -> list[tuple[tuple[int, ...], int]]:
+    """The children of one enumeration state that miss the host in no arc,
+    without a lead scan: the (tour, key) pairs of _branch(order, key, ...,
+    seen, nh, 0), in another order, with the same keys added to seen.
+
+    A child keeps every arc the move does not remove, so a closing move has
+    among its points the tail of every non-host arc, T; with |T| > 4 none
+    closes.  So only the 3-cycles on positions p < q < r and the double
+    bridges on p1 < p2 < p3 < p4 that contain T are tried, and one is kept
+    when every arc it creates is a host arc.  A 3-cycle is read from a =
+    order[p], the rotation _branch keeps; a double bridge pairs its points
+    as the chords (p1, p3) and (p2, p4), the only interlaced pairing.  Its
+    lead arcs are host arcs, so _branch finds it too, with the same key
+    and slices.
+    """
+    n = len(order)
+    dbl = order + order
+    outb = [bit[v][w] for v, w in zip(order, dbl[1:])]
+    tails = tuple(i for i, b in enumerate(outb) if b & nh)
+    if len(tails) > 4:
+        return []
+    rest = [i for i, b in enumerate(outb) if not b & nh]
+    new = []
+    if len(tails) < 4:
+        for extra in combinations(rest, 3 - len(tails)):
+            p, q, r = sorted(tails + extra)
+            a, b, c = order[p], order[q], order[r]
+            made = bit[a][dbl[q + 1]] ^ bit[b][dbl[r + 1]] ^ bit[c][dbl[p + 1]]
+            if made & nh:
+                continue
+            k = key ^ outb[p] ^ outb[q] ^ outb[r] ^ made
+            if k not in seen:
+                seen.add(k)
+                child = order[p : p + 1] + order[q + 1 : r + 1] + order[p + 1 : q + 1]
+                new.append((child + dbl[r + 1 : p + n], k))
+    for extra in combinations(rest, 4 - len(tails)):
+        l1, l2, h1, h2 = sorted(tails + extra)
+        made = (
+            bit[order[l1]][dbl[h1 + 1]] ^ bit[order[h1]][dbl[l1 + 1]]
+            ^ bit[order[l2]][dbl[h2 + 1]] ^ bit[order[h2]][dbl[l2 + 1]]
+        )
+        if made & nh:
+            continue
+        k = key ^ outb[l1] ^ outb[l2] ^ outb[h1] ^ outb[h2] ^ made
+        if k not in seen:
+            seen.add(k)
+            child = order[l1 : l1 + 1] + dbl[h1 + 1 : h2 + 1] + order[l2 + 1 : h1 + 1]
+            new.append((child + order[l1 + 1 : l2 + 1] + dbl[h2 + 1 : l1 + n], k))
+    return new
+
+
 def enumerate_all(
     g: AnyGraph, depth_cap: Optional[int] = None
 ) -> list[tuple[int, ...]]:
@@ -511,6 +572,11 @@ def enumerate_all(
     in the same order.  Only kept states are sliced and branched on; a kept
     state missing no host arc is a circuit candidate, verified and then
     canonicalized.
+
+    On the last level (cap 0) _close replaces _branch: it keeps the same
+    children, in another order, from only the moves that remove every
+    non-host arc of the parent and create host arcs alone.  That level's
+    children are never branched on, so its order does not matter.
     """
     n = g.n
     if n > ENUMERATE_CAP:
@@ -541,7 +607,11 @@ def enumerate_all(
         cap = 4 * (depth_cap - depth - 1)
         nxt: list[tuple[tuple[int, ...], int]] = []
         for order, key in frontier:
-            for child, k in _branch(order, key, nbrs, adj, bit, seen, nh, cap):
+            if cap:
+                children = _branch(order, key, nbrs, adj, bit, seen, nh, cap)
+            else:
+                children = _close(order, key, bit, seen, nh)
+            for child, k in children:
                 if not k & nh and verify_circuit(g, child):
                     results.add(canonical_circuit(child, directed))
                 nxt.append((child, k))

@@ -11,6 +11,8 @@ creates.  Checked here on seeded random tours, n 3-10, graphs and digraphs:
     * with a non-host mask and a cap, _branch keeps exactly the unpruned
       children whose keys are unseen and miss at most cap host arcs, in
       the same order;
+    * _close, which enumerate_all calls on its last level, keeps the same
+      children as _branch at cap 0 and adds the same keys to seen;
     * key equality is canonical_circuit equality.
 """
 
@@ -20,7 +22,7 @@ import pytest
 
 import oracle_reference as ref
 from hamperm.graphs import Digraph, Graph, complete_digraph, complete_graph
-from hamperm.oracle import _arc_bits, _arc_key, _branch, canonical_circuit
+from hamperm.oracle import _arc_bits, _arc_key, _branch, _close, canonical_circuit
 
 
 def _random_host(rng, n, directed):
@@ -133,6 +135,63 @@ def test_pruned_children_are_the_unpruned_within_the_cap(directed):
         kept += len(want)
         dropped += len(unpruned) - len(want)
     assert kept > 5000 and dropped > 5000, (kept, dropped)
+
+
+@pytest.mark.parametrize("directed", (False, True))
+def test_close_matches_branch_at_cap_zero(directed):
+    """_close keeps the same children as _branch at cap 0: the same keys and
+    circuits, each key once, and the same keys added to a partly seeded
+    seen.  Tours miss the host in 0 to 6 arcs; with more than 4 no move
+    closes.  The order of the list is not compared: the last level's
+    children are never branched on."""
+    rng = random.Random(41 + directed)
+    kept = closing = beyond = 0
+    for trial in range(640):
+        n = 3 + trial % 8
+        miss = min(n, trial // 8 % 7)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        order = tuple(order)
+        tour = list(zip(order, order[1:] + order[:1]))
+        density = rng.choice((0.3, 0.5, 0.7, 1.0))
+        if directed:
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        else:
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            tour = [(min(u, v), max(u, v)) for u, v in tour]
+        # the tour's arcs, all but miss of them, and others at the density
+        left_out = set(rng.sample(tour, miss))
+        arcs = [
+            p for p in pairs
+            if p not in left_out and (p in tour or rng.random() < density)
+        ]
+        g = Digraph(n, arcs) if directed else Graph(n, arcs)
+        adj = g.out_adj if directed else g.adj
+        nbrs = [()] + [tuple(adj[v]) for v in range(1, n + 1)]
+        bit = _arc_bits(n, directed)
+        host = 0
+        for u, v in arcs:
+            host |= bit[u][v]
+        nh = ~host
+        key = _arc_key(bit, order)
+        assert (key & nh).bit_count() == miss
+        unpruned = _branch(order, key, nbrs, adj, bit, {key}, 0, 0)
+        seen = {key} | {k for _child, k in unpruned if rng.random() < 0.3}
+        seen_branch = set(seen)
+        want = _branch(order, key, nbrs, adj, bit, seen_branch, nh, 0)
+        got = _close(order, key, bit, seen, nh)
+        keys = [k for _child, k in got]
+        assert len(set(keys)) == len(keys), (trial, order)
+        assert sorted((k, canonical_circuit(c, directed)) for c, k in got) == sorted(
+            (k, canonical_circuit(c, directed)) for c, k in want
+        ), (trial, order, miss)
+        assert seen == seen_branch, (trial, order)
+        if miss > 4:
+            assert got == [], (trial, order)
+            beyond += 1
+        kept += len(got)
+        closing += miss > 0 and bool(got)
+    assert kept > 2000 and closing > 100 and beyond > 100, (kept, closing, beyond)
 
 
 @pytest.mark.parametrize("directed", (False, True))

@@ -8,7 +8,8 @@ functions must return exactly the same lists.  enumerate_all is compared at
 every depth cap from 0 to 2 as well as in full, on its circuits and on the
 states it keeps: the reference's states, each with its level, that are
 within enumerate_all's bound of 4 non-host arcs per level left.  So the
-level sets are pinned and not only the final circuit set.
+level sets are pinned, the last level's (built by _close) too, and not only
+the final circuit set.
 """
 
 import math
@@ -122,24 +123,28 @@ def _reference_levels(g, depth_cap, monkeypatch):
 
 def _kept_levels(g, depth_cap, monkeypatch):
     """oracle.enumerate_all(g, depth_cap) and the (level, canonical form) of
-    the start and of every child _branch keeps."""
+    the start and of every child _branch or, on the last level, _close
+    keeps."""
     directed = g.directed
     start = tuple(range(1, g.n + 1))
     level = {canonical_circuit(start, directed): 0}
     states = [(0, canonical_circuit(start, directed))]
-    branch = oracle._branch
 
-    def recording(order, *args):
-        children = branch(order, *args)
-        lv = level[canonical_circuit(order, directed)] + 1
-        for child, _k in children:
-            state = canonical_circuit(child, directed)
-            level[state] = lv
-            states.append((lv, state))
+    def recording(children_of):
+        def children(order, *args):
+            found = children_of(order, *args)
+            lv = level[canonical_circuit(order, directed)] + 1
+            for child, _k in found:
+                state = canonical_circuit(child, directed)
+                level[state] = lv
+                states.append((lv, state))
+            return found
+
         return children
 
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_branch", recording)
+        m.setattr(oracle, "_branch", recording(oracle._branch))
+        m.setattr(oracle, "_close", recording(oracle._close))
         got = oracle.enumerate_all(g, depth_cap)
     return got, sorted(states)
 
