@@ -160,6 +160,7 @@ def cmd_solve(args) -> int:
             "successes": rep.successes,
             "failures": rep.failures,
             "backtracks": rep.backtracks,
+            "restarts": rep.restarts,
             "final_pseudo": rep.final_pseudo,
             "pseudo_trajectory": rep.pseudo_trajectory,
             "circuit": rep.circuit,

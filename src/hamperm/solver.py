@@ -2,13 +2,17 @@
 
 The solver keeps a pseudo-Hamilton tour of the host and step by step turns
 pseudo-arcs (tour arcs absent from the host) into host arcs.  The
-search may start from any n-cycle; it starts from a greedy randomized path
-cover (_start_order): runs of host arcs, each extended to the unvisited
-out-neighbour with the fewest unvisited out-neighbours left (Warnsdorff's
-rule, seeded tie picks), and a jump to the next unvisited vertex of a
-seeded shuffle when a run is stuck.  Its pseudo-arcs are only those jumps
-and the closing arc, so on sparse random hosts a search begins with a few
-pseudo-arcs instead of about n.  Each iteration then:
+search may start from any n-cycle.  On a graph it starts from a greedy
+randomized path cover (_start_order): runs of host arcs, each extended to
+the unvisited out-neighbour with the fewest unvisited out-neighbours left
+(Warnsdorff's rule, seeded tie picks), and a jump to the next unvisited
+vertex of a seeded shuffle when a run is stuck.  On a digraph it starts
+from a seeded cycle factor (_factor_order): a maximum matching of
+out-copies to in-copies (_max_matching, Hopcroft-Karp), whose arcs form
+vertex-disjoint cycles and paths, each cycle cut at a seeded point and the
+pieces joined in a seeded order.  Either start's pseudo-arcs are only its
+joins, so on sparse random hosts a search begins with a few pseudo-arcs
+instead of about n.  Each iteration then:
 
     * sample a few host edges at a pseudo-arc vertex and at its successor,
     * build candidate 3-cycle and pair-of-transposition moves from them,
@@ -94,7 +98,9 @@ class SolveReport:
     failures.
     backtracks: digraph failures that popped the BACKTRACK stack and
     applied the inverse of the last move (always 0 on a graph, at most
-    failures on a digraph).  final_pseudo: |PSEUDO| at the end;
+    failures on a digraph).  restarts: digraph stalls that replaced the
+    tour by a new start (always 0 on a graph).  final_pseudo: |PSEUDO| at
+    the end;
     pseudo_trajectory: |PSEUDO| after each step.  detail: why the solve
     stopped early or was refused, if it was.
     """
@@ -105,6 +111,7 @@ class SolveReport:
     successes: int = 0
     failures: int = 0
     backtracks: int = 0
+    restarts: int = 0
     final_pseudo: int = 0
     pseudo_trajectory: list[int] = field(default_factory=list)
     detail: str = ""
@@ -309,15 +316,18 @@ def _solve_core(h: AnyGraph, p: SolveParams) -> SolveReport:
     rng = random.Random(p.seed)
     adj = h.out_adj if h.directed else h.adj
     inn = h.in_adj if h.directed else adj
-    t = Tour(h, _start_order(adj, inn, rng))
+    if h.directed:
+        t = Tour(h, _factor_order(adj, rng))
+    else:
+        t = Tour(h, _start_order(adj, inn, rng))
     # inverses of the applied moves, the last on top: digraph mode pops them
     # to backtrack; graph mode keeps only the last, the one candidates are
     # filtered against
     undo: list[Move] = []
     rep = SolveReport("timeout")
     # digraph mode has no rotations, so a bad start can oscillate; restart
-    # from a new greedy start (the rng has moved on, so its shuffle and tie
-    # picks differ) when |PSEUDO| stops improving
+    # from a new cycle factor (the rng has moved on, so its matching, cuts
+    # and join order differ) when |PSEUDO| stops improving
     best_pseudo = n + 1
     since_improve = 0
     stall_limit = max(30, 2 * n)
@@ -325,7 +335,8 @@ def _solve_core(h: AnyGraph, p: SolveParams) -> SolveReport:
         if not t.pseudo_keys:
             break
         if h.directed and since_improve >= stall_limit:
-            t = Tour(h, _start_order(adj, inn, rng))
+            t = Tour(h, _factor_order(adj, rng))
+            rep.restarts += 1
             undo.clear()
             best_pseudo = n + 1
             since_improve = 0
@@ -415,6 +426,122 @@ def _start_order(adj: dict, inn: dict, rng: random.Random) -> list[int]:
                 free = [w for w in free if left[w] == low]
             v = free[0] if len(free) == 1 else rng.choice(sorted(free))
     return order
+
+
+def _max_matching(adj: dict, rng: random.Random) -> list[int]:
+    """A maximum matching of out-copies to in-copies of the digraph on 1..n
+    whose out-neighbour sets are adj, as a successor list: succ[u] = v for
+    each matched arc (u, v), 0 for an unmatched out-copy (succ[0] is 0).
+
+    Hopcroft-Karp, iterative, in O(m sqrt(n)).  Each phase layers the
+    out-copies by a breadth-first search from the free ones, up to the
+    first layer with an arc to a free in-copy, then augments along
+    vertex-disjoint shortest alternating paths found by depth-first search
+    with a saved next-arc index per out-copy.  Each neighbour list is
+    sorted, then shuffled by rng (in vertex order), so the matching is
+    seeded and does not depend on the order a set iterates in.
+    """
+    n = len(adj)
+    nbrs: list[list[int]] = [[]]
+    for u in range(1, n + 1):
+        lst = sorted(adj[u])
+        rng.shuffle(lst)
+        nbrs.append(lst)
+    succ = [0] * (n + 1)
+    pred = [0] * (n + 1)
+    while True:
+        free = [u for u in range(1, n + 1) if not succ[u]]
+        dist = [-1] * (n + 1)
+        for u in free:
+            dist[u] = 0
+        limit = n  # the layer whose out-copies reach a free in-copy
+        queue = list(free)
+        for u in queue:
+            d = dist[u]
+            if d >= limit:
+                break
+            for v in nbrs[u]:
+                w = pred[v]
+                if not w:
+                    limit = d
+                elif dist[w] < 0:
+                    dist[w] = d + 1
+                    queue.append(w)
+        if limit == n:
+            return succ
+        nxt = [0] * (n + 1)
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                lst, i, d = nbrs[u], nxt[u], dist[u]
+                step = 0
+                while i < len(lst):
+                    w = pred[lst[i]]
+                    i += 1
+                    if not w:
+                        if d == limit:
+                            step = -1
+                            break
+                    elif d < limit and dist[w] == d + 1:
+                        step = w
+                        break
+                nxt[u] = i
+                if step > 0:
+                    stack.append(step)
+                elif step < 0:
+                    # each stack vertex matches the in-copy it left by
+                    for x in stack:
+                        v = nbrs[x][nxt[x] - 1]
+                        succ[x] = v
+                        pred[v] = x
+                    break
+                else:
+                    dist[u] = -1
+                    stack.pop()
+
+
+def _factor_order(adj: dict, rng: random.Random) -> list[int]:
+    """A start tour of the digraph on 1..n whose out-neighbour sets are
+    adj, from a seeded maximum matching of out-copies to in-copies
+    (_max_matching).
+
+    The matched arcs form vertex-disjoint paths (an unmatched vertex is a
+    path of one) and cycles.  Each path is kept as it is, from its vertex
+    with no matched in-arc; each cycle is cut before a seeded vertex, one
+    randrange per cycle in the order of their least vertices; then one
+    seeded shuffle orders the pieces, and the pieces in turn are the tour.
+    So its pseudo-arcs are at most the joins between pieces (none when the
+    matching is a single cycle), in O(n + m) beyond the matching.
+    """
+    succ = _max_matching(adj, rng)
+    n = len(adj)
+    matched_in = bytearray(n + 1)
+    for v in succ:
+        matched_in[v] = 1
+    seen = bytearray(n + 1)
+    pieces: list[list[int]] = []
+    for head in range(1, n + 1):
+        if not matched_in[head]:
+            piece = []
+            v = head
+            while v:
+                seen[v] = 1
+                piece.append(v)
+                v = succ[v]
+            pieces.append(piece)
+    for head in range(1, n + 1):
+        if not seen[head]:
+            cycle = []
+            v = head
+            while not seen[v]:
+                seen[v] = 1
+                cycle.append(v)
+                v = succ[v]
+            i = rng.randrange(len(cycle))
+            pieces.append(cycle[i:] + cycle[:i])
+    rng.shuffle(pieces)
+    return [v for piece in pieces for v in piece]
 
 
 # --------------------------------------------------------------------------

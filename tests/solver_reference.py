@@ -22,10 +22,14 @@ reference follows the solver's draw order:
       hamperm.solver does with the tour's own list;
     * edge samples use _sample, a verbatim copy of hamperm.solver._sample;
     * _candidates stops drawing once test_cap moves have been tested;
-    * the start tour and the digraph restart come from _start_order, a
-      verbatim copy of hamperm.solver._start_order (a greedy randomized
-      path cover), in place of a shuffle of 1..n; the sorted neighbour
-      lists it reads are built once per solve from _host_neighbors.
+    * the start tour comes from a start of the solver's, in place of a
+      shuffle of 1..n: on a graph from _start_order, a copy of
+      hamperm.solver._start_order (a greedy randomized path cover) that
+      reads sorted neighbour lists built once per solve from
+      _host_neighbors; on a digraph, and at each digraph restart, from
+      _factor_order, a verbatim copy of hamperm.solver._factor_order (a
+      seeded cycle factor) and of the _max_matching it calls;
+    * digraph restarts are counted in the report's restarts.
 
 Everything else, the Move objects, canonical keys, overlays and
 diff_score included, is the earlier code.
@@ -462,12 +466,15 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         {v: _host_neighbors(h, v) for v in range(1, n + 1)},
         {v: _host_neighbors(h, v, incoming=True) for v in range(1, n + 1)},
     )
-    t = Tour(h, _start_order(h, nbrs, rng))
+    if h.directed:
+        t = Tour(h, _factor_order(h.out_adj, rng))
+    else:
+        t = Tour(h, _start_order(h, nbrs, rng))
     abb = Abbreviation(t)
     backtrack: deque[Move] = deque()
     rep = SolveReport("timeout")
     # digraph mode has no rotations, so a bad start can oscillate; restart
-    # from a new greedy start when |PSEUDO| stops improving
+    # from a new cycle factor when |PSEUDO| stops improving
     best_pseudo = n + 1
     since_improve = 0
     stall_limit = max(30, 2 * n)
@@ -476,7 +483,8 @@ def _solve_core(h: AnyGraph, rp: ResolvedParams) -> SolveReport:
         if not pseudos:
             break
         if h.directed and since_improve >= stall_limit:
-            t = Tour(h, _start_order(h, nbrs, rng))
+            t = Tour(h, _factor_order(h.out_adj, rng))
+            rep.restarts += 1
             abb = Abbreviation(t)
             backtrack.clear()
             best_pseudo = n + 1
@@ -590,6 +598,122 @@ def _start_order(
             ties = [w for w in free if left[w] == low]
             v = ties[0] if len(ties) == 1 else rng.choice(ties)
     return order
+
+
+def _max_matching(adj: dict, rng: random.Random) -> list[int]:
+    """A maximum matching of out-copies to in-copies of the digraph on 1..n
+    whose out-neighbour sets are adj, as a successor list: succ[u] = v for
+    each matched arc (u, v), 0 for an unmatched out-copy (succ[0] is 0).
+
+    Hopcroft-Karp, iterative, in O(m sqrt(n)).  Each phase layers the
+    out-copies by a breadth-first search from the free ones, up to the
+    first layer with an arc to a free in-copy, then augments along
+    vertex-disjoint shortest alternating paths found by depth-first search
+    with a saved next-arc index per out-copy.  Each neighbour list is
+    sorted, then shuffled by rng (in vertex order), so the matching is
+    seeded and does not depend on the order a set iterates in.
+    """
+    n = len(adj)
+    nbrs: list[list[int]] = [[]]
+    for u in range(1, n + 1):
+        lst = sorted(adj[u])
+        rng.shuffle(lst)
+        nbrs.append(lst)
+    succ = [0] * (n + 1)
+    pred = [0] * (n + 1)
+    while True:
+        free = [u for u in range(1, n + 1) if not succ[u]]
+        dist = [-1] * (n + 1)
+        for u in free:
+            dist[u] = 0
+        limit = n  # the layer whose out-copies reach a free in-copy
+        queue = list(free)
+        for u in queue:
+            d = dist[u]
+            if d >= limit:
+                break
+            for v in nbrs[u]:
+                w = pred[v]
+                if not w:
+                    limit = d
+                elif dist[w] < 0:
+                    dist[w] = d + 1
+                    queue.append(w)
+        if limit == n:
+            return succ
+        nxt = [0] * (n + 1)
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                lst, i, d = nbrs[u], nxt[u], dist[u]
+                step = 0
+                while i < len(lst):
+                    w = pred[lst[i]]
+                    i += 1
+                    if not w:
+                        if d == limit:
+                            step = -1
+                            break
+                    elif d < limit and dist[w] == d + 1:
+                        step = w
+                        break
+                nxt[u] = i
+                if step > 0:
+                    stack.append(step)
+                elif step < 0:
+                    # each stack vertex matches the in-copy it left by
+                    for x in stack:
+                        v = nbrs[x][nxt[x] - 1]
+                        succ[x] = v
+                        pred[v] = x
+                    break
+                else:
+                    dist[u] = -1
+                    stack.pop()
+
+
+def _factor_order(adj: dict, rng: random.Random) -> list[int]:
+    """A start tour of the digraph on 1..n whose out-neighbour sets are
+    adj, from a seeded maximum matching of out-copies to in-copies
+    (_max_matching).
+
+    The matched arcs form vertex-disjoint paths (an unmatched vertex is a
+    path of one) and cycles.  Each path is kept as it is, from its vertex
+    with no matched in-arc; each cycle is cut before a seeded vertex, one
+    randrange per cycle in the order of their least vertices; then one
+    seeded shuffle orders the pieces, and the pieces in turn are the tour.
+    So its pseudo-arcs are at most the joins between pieces (none when the
+    matching is a single cycle), in O(n + m) beyond the matching.
+    """
+    succ = _max_matching(adj, rng)
+    n = len(adj)
+    matched_in = bytearray(n + 1)
+    for v in succ:
+        matched_in[v] = 1
+    seen = bytearray(n + 1)
+    pieces: list[list[int]] = []
+    for head in range(1, n + 1):
+        if not matched_in[head]:
+            piece = []
+            v = head
+            while v:
+                seen[v] = 1
+                piece.append(v)
+                v = succ[v]
+            pieces.append(piece)
+    for head in range(1, n + 1):
+        if not seen[head]:
+            cycle = []
+            v = head
+            while not seen[v]:
+                seen[v] = 1
+                cycle.append(v)
+                v = succ[v]
+            i = rng.randrange(len(cycle))
+            pieces.append(cycle[i:] + cycle[:i])
+    rng.shuffle(pieces)
+    return [v for piece in pieces for v in piece]
 
 
 def _reduced_host(g: AnyGraph):

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from hamperm.cli import main
-from hamperm.graphs import Graph, read_graph, write_graph
+from hamperm.graphs import Graph, gen_boll_digraph, read_graph, write_graph
 from hamperm.oracle import verify_circuit
+from hamperm.solver import SolveParams, solve_digraph
 from hamperm.tsp import WeightMatrix, write_weights
 
 
@@ -76,6 +77,17 @@ def test_solve_k6_roundtrip(tmp_path, capsys):
     assert rec["outcome"] == "circuit"
     assert verify_circuit(g, rec["metrics"]["circuit"])
     assert "wall time" in err  # timing goes to stderr, not the record
+
+
+def test_solve_records_restarts(tmp_path, capsys):
+    # this Boll digraph stalls and restarts its search; the record counts
+    # the restarts as the library's report does
+    path = tmp_path / "d.txt"
+    write_graph(gen_boll_digraph(16, 36)[0], str(path))
+    code, stdout, _ = run(capsys, ["solve", str(path), "--seed", "36", "--format", "json"])
+    assert code == 0
+    rep = solve_digraph(read_graph(str(path)), SolveParams(seed=36))
+    assert json.loads(stdout)["metrics"]["restarts"] == rep.restarts > 0
 
 
 def test_solve_pendant_exits_2(tmp_path, capsys):

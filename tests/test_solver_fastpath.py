@@ -31,6 +31,8 @@ from hamperm.solver import (
     SolveParams,
     _cycle3,
     _draw_pseudo,
+    _factor_order,
+    _max_matching,
     _pick_rotation,
     _potdt,
     _sample,
@@ -38,6 +40,7 @@ from hamperm.solver import (
     solve_digraph,
     solve_graph,
 )
+from hamperm.contract import contract
 from hamperm.tour import Move, Tour
 from solver_schedule import set_schedule
 
@@ -397,11 +400,17 @@ def test_candidates_stop_at_the_test_cap(monkeypatch, model, n, seed, caps):
 
     real = solver._candidates
     # a uniformly random start has about n pseudo-arcs, so every case runs
-    # enough iterations to reach the cap; the greedy start leaves too few
+    # enough iterations to reach the cap; the greedy and cycle-factor starts
+    # leave too few
     monkeypatch.setattr(
         solver,
         "_start_order",
         lambda adj, inn, rng: rng.sample(range(1, len(adj) + 1), len(adj)),
+    )
+    monkeypatch.setattr(
+        solver,
+        "_factor_order",
+        lambda adj, rng: rng.sample(range(1, len(adj) + 1), len(adj)),
     )
     monkeypatch.setattr(solver, "_cycle3", counted("cycle3", solver._cycle3))
     monkeypatch.setattr(solver, "_potdt", counted("potdt", solver._potdt))
@@ -475,3 +484,127 @@ def test_start_order_is_seeded():
     k = complete_graph(12)
     seconds = {_start_order(*_sets(k), random.Random(s))[1] for s in range(40)}
     assert len(seconds) > 2
+
+
+# --------------------------------------------------------------------------
+# the digraph start: a seeded cycle factor
+# --------------------------------------------------------------------------
+
+
+def _hidden_cycle(n, seed):
+    """A directed n-cycle on seeded labels plus about n/2 seeded random
+    arcs (none when seed is even, so the host is the cycle alone)."""
+    rng = random.Random(seed)
+    label = rng.sample(range(1, n + 1), n)
+    d = Digraph(n, list(zip(label, label[1:] + label[:1])))
+    for _ in range(n // 2 if seed % 2 else 0):
+        u, v = rng.sample(range(1, n + 1), 2)
+        if not d.has_arc(u, v):
+            d.add_arc(u, v)
+    return d
+
+
+FACTOR_CASES = [
+    (model, n, seed)
+    for model in ("bolld", "inout", "hidden")
+    for n, seed in ((3, 1), (4, 2), (7, 3), (12, 4), (25, 5), (40, 6), (60, 7))
+    if model != "inout" or n >= 5
+]
+
+
+def _digraph(model, n, seed):
+    if model == "bolld":
+        return gen_boll_digraph(n, seed)[0]
+    if model == "inout":
+        return gen_in_out(n, 2, 2, seed)
+    return _hidden_cycle(n, seed)
+
+
+def _matching_size(out, n):
+    """The maximum matching size of out-copies to in-copies by one
+    augmenting-path search per out-copy (Kuhn's algorithm)."""
+    mate = {}
+
+    def augment(u, seen):
+        for v in sorted(out[u]):
+            if v not in seen:
+                seen.add(v)
+                if v not in mate or augment(mate[v], seen):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "model,n,seed", FACTOR_CASES, ids=[f"{m}-n{n}-s{s}" for m, n, s in FACTOR_CASES]
+)
+def test_max_matching_is_maximum(model, n, seed):
+    d = _digraph(model, n, seed)
+    for s in range(4):
+        succ = _max_matching(d.out_adj, random.Random(s))
+        assert len(succ) == n + 1 and succ[0] == 0
+        arcs = [(u, succ[u]) for u in range(1, n + 1) if succ[u]]
+        # a matching of host arcs: no in-copy is matched twice
+        assert all(d.has_arc(u, v) for u, v in arcs)
+        assert len({v for _, v in arcs}) == len(arcs)
+        assert len(arcs) == _matching_size(d.out_adj, n)
+
+
+@pytest.mark.parametrize(
+    "model,n,seed", FACTOR_CASES, ids=[f"{m}-n{n}-s{s}" for m, n, s in FACTOR_CASES]
+)
+def test_factor_order_joins_the_matched_pieces(model, n, seed):
+    d = _digraph(model, n, seed)
+    for s in range(4):
+        succ = _max_matching(d.out_adj, random.Random(s))
+        order = _factor_order(d.out_adj, random.Random(s))
+        assert sorted(order) == list(range(1, n + 1))
+        # every tour arc but the joins is a matched arc, and only a join
+        # can be a pseudo-arc
+        joins = sum(succ[u] != v for u, v in zip(order, order[1:] + order[:1]))
+        assert len(Tour(d, order).pseudo_keys) <= joins
+        if model == "hidden" and seed % 2 == 0:
+            # the host is one directed cycle: its only matching, cut once
+            assert joins == 0
+
+
+def test_factor_order_is_seeded():
+    for d in (gen_in_out(300, 2, 2, 1), gen_boll_digraph(300, 1)[0]):
+        runs = [_factor_order(d.out_adj, random.Random(s)) for s in (7, 7, 8)]
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]
+    # the same arcs added in another order give the same start
+    d = gen_in_out(100, 2, 2, 3)
+    arcs = sorted(d.arcs)
+    random.Random(3).shuffle(arcs)
+    e = Digraph(100, arcs)
+    for s in range(5):
+        assert _factor_order(d.out_adj, random.Random(s)) == _factor_order(
+            e.out_adj, random.Random(s)
+        )
+    # a host that is one directed cycle has one matching, and the seed
+    # picks where the tour cuts it
+    ring = _hidden_cycle(12, 2)
+    firsts = {_factor_order(ring.out_adj, random.Random(s))[0] for s in range(20)}
+    assert len(firsts) > 2
+
+
+@pytest.mark.parametrize("model", ["boll", "r3", "bolld", "inout"])
+def test_first_start_by_host_kind(monkeypatch, model):
+    # a graph starts from the greedy path cover, a digraph from the cycle
+    # factor; each is the first draw of the solve's rng
+    g = gen_in_out(80, 2, 2, 5) if model == "inout" else _host(model, 80, 5)
+    h = contract(g).reduced
+    starts = []
+    monkeypatch.setattr(
+        solver, "Tour", lambda host, order: starts.append(list(order)) or Tour(host, order)
+    )
+    solve = solve_digraph if g.directed else solve_graph
+    solve(g, SolveParams(seed=5))
+    if g.directed:
+        want = _factor_order(h.out_adj, random.Random(5))
+    else:
+        want = _start_order(h.adj, h.adj, random.Random(5))
+    assert starts[0] == want
