@@ -436,8 +436,10 @@ def _max_matching(adj: dict, rng: random.Random) -> list[int]:
     Hopcroft-Karp, iterative, in O(m sqrt(n)).  Each phase layers the
     out-copies by a breadth-first search from the free ones, up to the
     first layer with an arc to a free in-copy, then augments along
-    vertex-disjoint shortest alternating paths found by depth-first search
-    with a saved next-arc index per out-copy.  Each neighbour list is
+    alternating paths that climb those layers one at a time to a free
+    in-copy, found by depth-first search with a saved next-arc index per
+    out-copy; an out-copy whose arcs run out is dropped for the phase.  The
+    search ends when a phase finds no free in-copy.  Each neighbour list is
     sorted, then shuffled by rng (in vertex order), so the matching is
     seeded and does not depend on the order a set iterates in.
     """

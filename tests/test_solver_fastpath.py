@@ -17,6 +17,7 @@ import pytest
 
 import solver_reference
 from hamperm import solver
+from hamperm.contract import contract
 from hamperm.graphs import (
     Digraph,
     Graph,
@@ -40,7 +41,6 @@ from hamperm.solver import (
     solve_digraph,
     solve_graph,
 )
-from hamperm.contract import contract
 from hamperm.tour import Move, Tour
 from solver_schedule import set_schedule
 
@@ -52,6 +52,13 @@ def _host(model, n, seed):
         return to_undirected(gen_m_out(n, 3, seed))
     if model == "bolld":
         return gen_boll_digraph(n, seed)[0]
+    if model == "inout":
+        return gen_in_out(n, 2, 2, seed)
+    if model == "hidden":
+        return _hidden_cycle(n, seed)
+    if model == "mout1":
+        # one random out-arc per vertex: rarely a perfect matching
+        return gen_m_out(n, 1, seed)
     return complete_graph(n)
 
 
@@ -506,18 +513,9 @@ def _hidden_cycle(n, seed):
 
 FACTOR_CASES = [
     (model, n, seed)
-    for model in ("bolld", "inout", "hidden")
+    for model in ("bolld", "inout", "hidden", "mout1")
     for n, seed in ((3, 1), (4, 2), (7, 3), (12, 4), (25, 5), (40, 6), (60, 7))
-    if model != "inout" or n >= 5
 ]
-
-
-def _digraph(model, n, seed):
-    if model == "bolld":
-        return gen_boll_digraph(n, seed)[0]
-    if model == "inout":
-        return gen_in_out(n, 2, 2, seed)
-    return _hidden_cycle(n, seed)
 
 
 def _matching_size(out, n):
@@ -541,7 +539,7 @@ def _matching_size(out, n):
     "model,n,seed", FACTOR_CASES, ids=[f"{m}-n{n}-s{s}" for m, n, s in FACTOR_CASES]
 )
 def test_max_matching_is_maximum(model, n, seed):
-    d = _digraph(model, n, seed)
+    d = _host(model, n, seed)
     for s in range(4):
         succ = _max_matching(d.out_adj, random.Random(s))
         assert len(succ) == n + 1 and succ[0] == 0
@@ -556,7 +554,7 @@ def test_max_matching_is_maximum(model, n, seed):
     "model,n,seed", FACTOR_CASES, ids=[f"{m}-n{n}-s{s}" for m, n, s in FACTOR_CASES]
 )
 def test_factor_order_joins_the_matched_pieces(model, n, seed):
-    d = _digraph(model, n, seed)
+    d = _host(model, n, seed)
     for s in range(4):
         succ = _max_matching(d.out_adj, random.Random(s))
         order = _factor_order(d.out_adj, random.Random(s))
@@ -595,7 +593,7 @@ def test_factor_order_is_seeded():
 def test_first_start_by_host_kind(monkeypatch, model):
     # a graph starts from the greedy path cover, a digraph from the cycle
     # factor; each is the first draw of the solve's rng
-    g = gen_in_out(80, 2, 2, 5) if model == "inout" else _host(model, 80, 5)
+    g = _host(model, 80, 5)
     h = contract(g).reduced
     starts = []
     monkeypatch.setattr(
