@@ -176,18 +176,15 @@ def cmd_prob(args) -> int:
     n, trials, seed = args.n, args.trials, args.seed
     metrics: dict = {}
     try:
-        if args.which == "theoremA":
-            target = problab.p_admissible_3cycle(n)
-            st = problab.estimate_admissible_3cycle(n, trials, seed)
-            metrics = {
-                "closed_form": target,
-                "estimate": st.estimate,
-                "abs_error": st.abs_error,
-                "trials": trials,
-            }
-        elif args.which == "theoremD":
-            target = problab.p_chords_intersect(n)
-            st = problab.estimate_chords_intersect(n, trials, seed)
+        if args.which in ("theoremA", "theoremD"):
+            closed, estimate = {
+                "theoremA": (problab.p_admissible_3cycle,
+                             problab.estimate_admissible_3cycle),
+                "theoremD": (problab.p_chords_intersect,
+                             problab.estimate_chords_intersect),
+            }[args.which]
+            target = closed(n)
+            st = estimate(n, trials, seed)
             metrics = {
                 "closed_form": target,
                 "estimate": st.estimate,
@@ -207,9 +204,6 @@ def cmd_prob(args) -> int:
         elif args.which == "censusArc":
             rows = problab.unique_arc_census([n], range(seed, seed + 100))
             metrics = {"rows": rows}
-        else:
-            print(f"error: unknown --which {args.which}", file=sys.stderr)
-            return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,10 +27,8 @@ and the exact optimum of a small weighted tour:
       Held-Karp bitmask dynamic program (n <= 13), in exact arithmetic.
 
 The constructive machinery never consults the host to make progress: the
-move built from sigma exists for purely cyclic-order reasons, so it also
-powers enumeration from an arbitrary start.  GEN mode on converge() skips
-the complement-start requirement for experiments; no step-count guarantee
-then applies.
+move built from sigma exists for purely cyclic-order reasons, so
+converge() needs only a complement start to promise its step bound.
 """
 
 from __future__ import annotations
@@ -208,11 +206,14 @@ def _residual_ok(sd: SigmaDecomposition, point: int, value: int) -> bool:
     return sd.target_succ[point] == value or not sd.tour.host.has_arc(point, value)
 
 
-def admissible_moves_from_sigma(sd: SigmaDecomposition) -> list[Move]:
-    """Every admissible move the sigma structure offers, regime-preserving
-    candidates first, 3-cycles before POTDTs."""
+def constructive_step(sd: SigmaDecomposition) -> Move:
+    """One admissible move, built from sigma, that lowers |sigma| by >= 2:
+    the first regime-preserving 3-cycle, else the first regime-preserving
+    POTDT, else the first 3-cycle, else the first POTDT."""
+    if sd.size == 0:
+        raise OracleError("sigma is the identity; nothing to do")
     t = sd.tour
-    three: list[tuple[bool, Move]] = []
+    spare: Optional[Move] = None
     for cyc in sd.cycles:
         k = len(cyc)
         if k < 3:
@@ -220,37 +221,28 @@ def admissible_moves_from_sigma(sd: SigmaDecomposition) -> list[Move]:
         for i in range(k):
             a, b, c = cyc[i], cyc[(i + 1) % k], cyc[(i + 2) % k]
             if t.clockwise(a, b, c):
-                keep = _residual_ok(sd, c, t.succ(a))
-                three.append((keep, Move.cycle3(a, b, c)))
+                m = Move.cycle3(a, b, c)
+                if _residual_ok(sd, c, t.succ(a)):
+                    return m
+                spare = spare or m
     arcs = [(v, sd.sigma_of(v)) for cyc in sd.cycles for v in cyc]
-    pairs: list[tuple[bool, Move]] = []
     for i, (a, c) in enumerate(arcs):
         for b, d in arcs[i + 1 :]:
             if len({a, b, c, d}) < 4:
                 continue
             if t.interlace(a, c, b, d):
-                keep = _residual_ok(sd, c, t.succ(a)) and _residual_ok(
+                m = Move.potdt(a, c, b, d)
+                if _residual_ok(sd, c, t.succ(a)) and _residual_ok(
                     sd, d, t.succ(b)
-                )
-                pairs.append((keep, Move.potdt(a, c, b, d)))
-    ranked = [m for keep, m in three if keep]
-    ranked += [m for keep, m in pairs if keep]
-    ranked += [m for keep, m in three if not keep]
-    ranked += [m for keep, m in pairs if not keep]
-    return ranked
-
-
-def constructive_step(sd: SigmaDecomposition) -> Move:
-    """One admissible move, built from sigma, that lowers |sigma| by >= 2."""
-    if sd.size == 0:
-        raise OracleError("sigma is the identity; nothing to do")
-    moves = admissible_moves_from_sigma(sd)
-    if not moves:
+                ):
+                    return m
+                spare = spare or m
+    if spare is None:
         raise AssertionError(
             "no admissible move found from a nonidentity sigma; "
             "this is unreachable for circuit targets and indicates a bug"
         )
-    return moves[0]
+    return spare
 
 
 def complement_start_tour(
@@ -302,13 +294,9 @@ def converge(
     target: Sequence[int],
     seed: int,
     start: Optional[Sequence[int]] = None,
-    gen_mode: bool = False,
 ) -> list[Move]:
-    """Moves taking a complement-start tour of g to the target circuit.
-
-    With gen_mode the start may be arbitrary; each vertex then seeds a move
-    at most once (tracked, best-effort) and no step bound is promised.
-    """
+    """Moves taking a complement-start tour of g to the target circuit, at
+    most ceil(n/2) of them, each lowering |sigma| by at least 2."""
     if not verify_circuit(g, target):
         raise OracleError("target is not a Hamilton circuit of the host")
     n = g.n
@@ -318,39 +306,27 @@ def converge(
         t = complement_start_tour(g, seed)
         if t is None:
             raise OracleError(
-                "the complement of the host has no Hamilton circuit; "
-                "supply a start tour with gen_mode"
+                "the complement of the host has no Hamilton circuit, so "
+                "there is no complement start"
             )
-    if not gen_mode:
-        bad = [v for v in range(1, n + 1) if g.has_arc(v, t.succ(v))]
-        if bad:
-            raise RegimeError(
-                f"start tour shares arcs with the host at {bad[:4]}; "
-                "use gen_mode for arbitrary starts"
-            )
+    bad = [v for v in range(1, n + 1) if g.has_arc(v, t.succ(v))]
+    if bad:
+        raise RegimeError(
+            f"start tour shares arcs with the host at {bad[:4]}; "
+            "converge needs a start whose every arc avoids the host"
+        )
     moves: list[Move] = []
-    seeded: set[int] = set()
-    cap = math.ceil(n / 2) if not gen_mode else n
+    cap = math.ceil(n / 2)
     sd = sigma(t, target)
     while sd.size:
         if len(moves) > cap:
             raise AssertionError("convergence exceeded its step bound")
-        if gen_mode:
-            all_moves = admissible_moves_from_sigma(sd)
-            if not all_moves:
-                raise AssertionError(
-                    "no admissible move found from a nonidentity sigma"
-                )
-            fresh = [m for m in all_moves if m.verts[0] not in seeded]
-            m = (fresh or all_moves)[0]
-        else:
-            m = constructive_step(sd)
-        seeded.add(m.verts[0])
+        m = constructive_step(sd)
         before = sd.size
         t.apply(m)
         moves.append(m)
         sd = sigma(t, target)
-        if not gen_mode and sd.size > before - 2:
+        if sd.size > before - 2:
             raise AssertionError("constructive step failed to drop |sigma| by 2")
     return moves
 

@@ -222,20 +222,22 @@ def p_two_admissible_pair(n: int) -> tuple[Fraction, Fraction]:
 # --------------------------------------------------------------------------
 
 
-def degree2_bound(n: int, c: float = math.e) -> float:
-    return math.log(c * n * math.log(n) ** 2) / (2 * n)
+DEGREE2_C = math.e
+UNIQUE_ARC_FACTOR = 2.0
 
 
-def unique_arc_bound(n: int, slack: float = 2.0) -> float:
-    return slack * math.log(n) / n
+def degree2_bound(n: int) -> float:
+    return math.log(DEGREE2_C * n * math.log(n) ** 2) / (2 * n)
 
 
-def degree2_census(
-    n_values: Sequence[int], seeds: Iterable[int], c: float = math.e
-) -> list[dict]:
+def unique_arc_bound(n: int) -> float:
+    return UNIQUE_ARC_FACTOR * math.log(n) / n
+
+
+def degree2_census(n_values: Sequence[int], seeds: Iterable[int]) -> list[dict]:
     """Empirical fraction of degree-2 vertices in Boll graphs vs the
-    log(c*n*(log n)^2)/(2n) bound.  The bound is an upper bound, so PASS
-    means empirical <= bound."""
+    log(DEGREE2_C*n*(log n)^2)/(2n) bound.  The bound is an upper bound, so
+    PASS means empirical <= bound."""
     seeds = list(seeds)
     rows = []
     for n in n_values:
@@ -247,18 +249,17 @@ def degree2_census(
             deg2 += sum(1 for v in range(1, n + 1) if g.degree(v) == 2)
             total += n
         emp = deg2 / total
-        bound = degree2_bound(n, c)
+        bound = degree2_bound(n)
         rows.append(
             {"n": n, "empirical": emp, "bound": bound, "pass": emp <= bound}
         )
     return rows
 
 
-def unique_arc_census(
-    n_values: Sequence[int], seeds: Iterable[int], slack: float = 2.0
-) -> list[dict]:
+def unique_arc_census(n_values: Sequence[int], seeds: Iterable[int]) -> list[dict]:
     """Empirical fraction of unique-out-arc vertices in Boll digraphs vs
-    slack * log(n)/n (the bound is asymptotic; slack documented)."""
+    UNIQUE_ARC_FACTOR * log(n)/n (the bound is asymptotic, so its factor is
+    a chosen margin)."""
     seeds = list(seeds)
     rows = []
     for n in n_values:
@@ -270,7 +271,7 @@ def unique_arc_census(
             uniq += sum(1 for v in range(1, n + 1) if d.outdeg(v) == 1)
             total += n
         emp = uniq / total
-        bound = unique_arc_bound(n, slack)
+        bound = unique_arc_bound(n)
         rows.append(
             {"n": n, "empirical": emp, "bound": bound, "pass": emp <= bound}
         )

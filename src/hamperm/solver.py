@@ -319,7 +319,7 @@ def _solve_core(h: AnyGraph, p: SolveParams) -> SolveReport:
     if h.directed:
         t = Tour(h, _factor_order(adj, rng))
     else:
-        t = Tour(h, _start_order(adj, inn, rng))
+        t = Tour(h, _start_order(adj, rng))
     # inverses of the applied moves, the last on top: digraph mode pops them
     # to backtrack; graph mode keeps only the last, the one candidates are
     # filtered against
@@ -390,20 +390,19 @@ def _solve_core(h: AnyGraph, p: SolveParams) -> SolveReport:
     return rep
 
 
-def _start_order(adj: dict, inn: dict, rng: random.Random) -> list[int]:
-    """A start tour that is a greedy randomized path cover of the host on
-    1..n whose out- and in-neighbour sets are adj and inn (both adj on a
-    graph), in O(n + m).
+def _start_order(adj: dict, rng: random.Random) -> list[int]:
+    """A start tour that is a greedy randomized path cover of the graph on
+    1..n whose neighbour sets are adj, in O(n + m).
 
-    The tour is built as runs of host arcs.  A run steps from its last
-    vertex v to an unvisited out-neighbour with the fewest unvisited
-    out-neighbours left (Warnsdorff's rule), ties broken by one seeded pick
+    The tour is built as runs of host edges.  A run steps from its last
+    vertex v to an unvisited neighbour with the fewest unvisited
+    neighbours left (Warnsdorff's rule), ties broken by one seeded pick
     from the sorted list of the tied vertices.  When v has no unvisited
-    out-neighbour, the next run starts at the next unvisited vertex of one
+    neighbour, the next run starts at the next unvisited vertex of one
     seeded shuffle of 1..n; the shuffle's first vertex starts the first
-    run.  Visiting v lowers the count of each in-neighbour (inn[v]).  The
-    runs in turn are the tour, so its pseudo-arcs are at most the jumps
-    between runs and the closing arc.
+    run.  Visiting v lowers the count of each of its neighbours.  The runs
+    in turn are the tour, so its pseudo-arcs are at most the jumps between
+    runs and the closing arc.
     """
     n = len(adj)
     jumps = list(range(1, n + 1))
@@ -416,7 +415,7 @@ def _start_order(adj: dict, inn: dict, rng: random.Random) -> list[int]:
         while not seen[v]:
             seen[v] = 1
             order.append(v)
-            for u in inn[v]:
+            for u in adj[v]:
                 left[u] -= 1
             free = [w for w in adj[v] if not seen[w]]
             if not free:

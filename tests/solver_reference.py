@@ -23,10 +23,12 @@ reference follows the solver's draw order:
     * edge samples use _sample, a verbatim copy of hamperm.solver._sample;
     * _candidates stops drawing once test_cap moves have been tested;
     * the start tour comes from a start of the solver's, in place of a
-      shuffle of 1..n: on a graph from _start_order, a copy of
-      hamperm.solver._start_order (a greedy randomized path cover) that
-      reads sorted neighbour lists built once per solve from
-      _host_neighbors; on a digraph, and at each digraph restart, from
+      shuffle of 1..n: on a graph from _start_order, which makes the same
+      greedy randomized path cover as hamperm.solver._start_order from
+      sorted neighbour lists built once per solve from _host_neighbors
+      (it still takes an out- and an in-list, both the graph's own lists
+      here, where the solver's takes the graph's neighbour sets alone);
+      on a digraph, and at each digraph restart, from
       _factor_order, a verbatim copy of hamperm.solver._factor_order (a
       seeded cycle factor) and of the _max_matching it calls;
     * digraph restarts are counted in the report's restarts.

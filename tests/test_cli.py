@@ -147,6 +147,41 @@ def test_prob_theoremE(capsys):
     assert rec["metrics"]["p_prime"] == "32/81"
 
 
+# the metrics of `prob --n 10 --trials 200 --seed 3` for every --which
+PROB_METRICS = {
+    "theoremA": {"abs_error": 0.0025000000000000022, "closed_form": "7/16",
+                 "estimate": 0.44, "trials": 200},
+    "theoremD": {"abs_error": 0.021666666666666667, "closed_form": "7/24",
+                 "estimate": 0.27, "trials": 200},
+    "lemma1": {"four_tuple": ["35/128", "21/128", "21/128", "51/128"]},
+    "lemma2": {"four_tuple": ["49/256", "63/256", "63/256", "81/256"]},
+    "theoremE": {"p": "48769/65536", "p_prime": "16767/65536"},
+    "census2": {"rows": [{"bound": 0.24853249917449788, "empirical": 0.255,
+                          "n": 10, "pass": False}]},
+    "censusArc": {"rows": [{"bound": 0.46051701859880917, "empirical": 0.2,
+                            "n": 10, "pass": True}]},
+}
+
+
+@pytest.mark.parametrize("which", sorted(PROB_METRICS))
+def test_prob_records_are_pinned(capsys, which):
+    code, stdout, _ = run(
+        capsys,
+        ["prob", "--which", which, "--n", "10", "--trials", "200",
+         "--seed", "3", "--format", "json"],
+    )
+    assert code == 0
+    want = {
+        "artifacts": [],
+        "command": "prob",
+        "metrics": PROB_METRICS[which],
+        "outcome": "ok",
+        "params": {"n": 10, "trials": 200, "which": which},
+        "seed": 3,
+    }
+    assert stdout == json.dumps(want, sort_keys=True) + "\n"
+
+
 def test_prob_bad_n(capsys):
     code, _, err = run(capsys, ["prob", "--which", "theoremA", "--n", "3"])
     assert code == 1 and "error" in err
