@@ -9,10 +9,14 @@ and the exact optimum of a small weighted tour:
       target circuit; each step applies one admissible move built from
       sigma's cycle structure and removes at least two moved points, so a
       complement-start tour (every tour edge outside the host) reaches the
-      target in at most ceil(n/2) moves without backtracking.
+      target without backtracking.  Two n-cycles differ by an even
+      permutation, and an even permutation never moves exactly 1 or 2
+      points, so once |sigma| <= 4 one move ends it: at most ceil(n/2) - 1
+      moves for n >= 3 (_move_bound).
     * enumerate_all - breadth-wise branching on every admissible move whose
-      two lead arcs land in the host; within ceil(n/2) levels this visits
-      every circuit, and must agree with brute force exactly.  States are
+      two lead arcs land in the host; the constructive step's moves are
+      such moves, so within ceil(n/2) - 1 levels this visits every
+      circuit, and must agree with brute force exactly.  States are
       keyed by their arc sets, one int each, and a child's key is its
       parent's with the 6 or 8 changed arcs toggled, so a child already
       seen is never built; a new one is built from list slices of its
@@ -54,6 +58,14 @@ class OracleError(ValueError):
 
 class RegimeError(OracleError):
     """The starting tour violates the complement-start requirement."""
+
+
+def _move_bound(n: int) -> int:
+    """The most constructive moves between two tours of n >= 3 vertices:
+    sigma of two n-cycles is even, each move removes at least 2 of its
+    (at most n) moved points, and an even sigma on 3 or 4 points is a
+    3-cycle or a POTDT, which one move removes."""
+    return math.ceil(n / 2) - 1
 
 
 # --------------------------------------------------------------------------
@@ -296,7 +308,8 @@ def converge(
     start: Optional[Sequence[int]] = None,
 ) -> list[Move]:
     """Moves taking a complement-start tour of g to the target circuit, at
-    most ceil(n/2) of them, each lowering |sigma| by at least 2."""
+    most ceil(n/2) - 1 of them (_move_bound), each lowering |sigma| by at
+    least 2."""
     if not verify_circuit(g, target):
         raise OracleError("target is not a Hamilton circuit of the host")
     n = g.n
@@ -316,10 +329,10 @@ def converge(
             "converge needs a start whose every arc avoids the host"
         )
     moves: list[Move] = []
-    cap = math.ceil(n / 2)
+    cap = _move_bound(n)
     sd = sigma(t, target)
     while sd.size:
-        if len(moves) > cap:
+        if len(moves) == cap:
             raise AssertionError("convergence exceeded its step bound")
         m = constructive_step(sd)
         before = sd.size
@@ -524,8 +537,11 @@ def enumerate_all(
 
     Start from the identity tour, treat every vertex as movable, branch on
     every admissible 3-cycle/POTDT whose lead created arcs are host arcs,
-    and collect circuits within ceil(n/2) levels.  Must equal
-    brute_force_circuits(g) as a set.
+    and collect circuits within ceil(n/2) - 1 levels (_move_bound): from
+    any state the constructive step toward a circuit (in either reading,
+    undirected) is such a move and lowers |sigma| by at least 2, and an
+    even sigma on at most 4 points takes one move, so every circuit is
+    within that many levels.  Must equal brute_force_circuits(g) as a set.
 
     A lead (a, b) has b = pred(x) for a host arc (a, x).  An admissible
     3-cycle (a b c) exchanges the segments succ(a)..b and succ(b)..c; two
@@ -562,7 +578,7 @@ def enumerate_all(
     if n < 3:
         return brute_force_circuits(g)
     if depth_cap is None:
-        depth_cap = math.ceil(n / 2)
+        depth_cap = _move_bound(n)
     directed = g.directed
     adj = g.out_adj if directed else g.adj
     nbrs = [()] + [tuple(adj[v]) for v in range(1, n + 1)]

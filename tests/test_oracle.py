@@ -1,9 +1,11 @@
+import math
 import random
 import sys
 
 import pytest
 
 from hamperm.graphs import (
+    Digraph,
     Graph,
     complete_digraph,
     complete_graph,
@@ -168,9 +170,69 @@ def test_converge_respects_step_bound_and_regime():
         if start is None:
             continue
         moves = converge(g, circ, seed=seed)
-        assert len(moves) <= (n + 1) // 2
+        assert len(moves) <= (n + 1) // 2 - 1
         done += 1
     assert done >= 20
+
+
+def _lead_arcs(t, m):
+    """The two created arcs a move is branched on: (a, succ b) and
+    (b, succ c) of a 3-cycle (a b c), (a, succ c) and (b, succ d) of a
+    POTDT (a c)(b d)."""
+    if m.kind == "cycle3":
+        a, b, c = m.verts
+        return [(a, t.succ(b)), (b, t.succ(c))]
+    a, c, b, d = m.verts
+    return [(a, t.succ(c)), (b, t.succ(d))]
+
+
+def _depth_hosts():
+    """(n, host): 8 seeded hosts for each n in 3-8, graphs and digraphs in
+    turn, at densities from 0.3 up to 1.0."""
+    rng = random.Random(29)
+    hosts = []
+    for n in range(3, 9):
+        for k in range(8):
+            density = 0.3 + 0.7 * k / 7
+            pairs = [
+                (u, v)
+                for u in range(1, n + 1)
+                for v in range(1 if k % 2 else u + 1, n + 1)
+                if u != v and rng.random() < density
+            ]
+            hosts.append((n, Digraph(n, pairs) if k % 2 else Graph(n, pairs)))
+    return hosts
+
+
+def test_constructive_paths_fit_the_enumeration_depth():
+    """From the identity tour, constructive steps reach every circuit (in
+    both readings, undirected) in at most ceil(n/2) - 1 moves, and each move
+    has its two lead arcs in the host, so enumerate_all branches on it: its
+    ceil(n/2) - 1 levels find every circuit.  The bound is met at every n,
+    and from n = 5 one level fewer misses circuits."""
+    longest = {}
+    short = set()
+    for n, g in _depth_hosts():
+        bound = math.ceil(n / 2) - 1
+        circuits = brute_force_circuits(g)
+        for circ in circuits:
+            readings = [circ] if g.directed else [circ, circ[:1] + circ[:0:-1]]
+            for target in readings:
+                t = Tour(g, list(range(1, n + 1)))
+                sd = sigma(t, target)
+                steps = 0
+                while sd.size:
+                    m = constructive_step(sd)
+                    assert all(g.has_arc(u, v) for u, v in _lead_arcs(t, m))
+                    t.apply(m)
+                    steps += 1
+                    assert steps <= bound, (n, target)
+                    sd = sigma(t, target)
+                longest[n] = max(longest.get(n, 0), steps)
+        if n >= 5 and enumerate_all(g, bound - 1) != circuits:
+            short.add(n)
+    assert longest == {n: math.ceil(n / 2) - 1 for n in range(3, 9)}
+    assert short == set(range(5, 9))
 
 
 def test_converge_rejects_regime_violation():

@@ -9,7 +9,9 @@ every depth cap from 0 to 2 as well as in full, on its circuits and on the
 states it keeps: the reference's states, each with its level, that are
 within enumerate_all's bound of 4 non-host arcs per level left.  So the
 level sets are pinned, the last level's (built by _close) too, and not only
-the final circuit set.
+the final circuit set.  In full, enumerate_all runs ceil(n/2) - 1 levels and
+the reference its own ceil(n/2), so the shallower search must find every
+circuit the deeper one finds, and both must equal brute force.
 """
 
 import math
@@ -159,7 +161,7 @@ def test_enumerate_all_matches_reference(depth_cap, monkeypatch):
         got, kept = _kept_levels(g, depth_cap, monkeypatch)
         want, visited = _reference_levels(g, depth_cap, monkeypatch)
         assert got == want, (name, depth_cap)
-        cap = math.ceil(g.n / 2) if depth_cap is None else depth_cap
+        cap = math.ceil(g.n / 2) - 1 if depth_cap is None else depth_cap
         bounded = [
             (lv, s) for lv, s in visited
             if lv == 0 or _miss(g, s) <= 4 * (cap - lv)
